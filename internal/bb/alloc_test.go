@@ -70,16 +70,16 @@ func TestPrunedChildrenAllocateNothing(t *testing.T) {
 // allocations per search iteration, so an unprobed solve pays only the
 // documented nil checks.
 func TestIntrospectionNilProbeZeroAlloc(t *testing.T) {
-	var s Stats
+	search := &Search{OpenLB: math.Inf(1)}
+	s := &search.Stats
 	gs := newGapSampler(nil, time.Second, time.Now())
 	if gs.enabled() {
 		t.Fatal("nil-probe sampler must be disabled")
 	}
+	abandoned := &PNode{LB: 5}
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.CountExpand(3, PruneStats{Bound: 2, ThreeThree: 1})
-		s.CountIncumbentPrune(1)
-		s.CountBoundPrune(1)
-		s.CountBudgetPrune(4)
+		search.Abandon(abandoned)
 		if gs.enabled() {
 			gs.maybeSample(10, 5, s.Expanded, 1)
 		}

@@ -33,12 +33,12 @@ type Constraints struct {
 // The bound check runs BEFORE cloning: each candidate's Cost (and hence
 // LB) is computed read-only against the parent, so a pruned child costs no
 // allocation at all. ub is the caller's current upper bound (+Inf for an
-// unbounded expansion); collectAll keeps LB == ub children alive, exactly
-// like the engines' prune predicate. Kept children are drawn from np (nil
-// allocates fresh nodes). The returned PruneStats has only Bound,
-// ThreeThree and Constraint components (Expand never discards by incumbent
-// or budget); callers fold it in with Stats.CountExpand, which counts both
-// survivors and discards as Generated.
+// unbounded expansion), applied through Prune. Kept children are drawn
+// from np (nil allocates fresh nodes). The returned PruneStats has only
+// Bound, ThreeThree, Constraint and Dominance components (Expand never
+// discards by incumbent or budget); callers fold it in with
+// Stats.CountExpand, which counts both survivors and discards as
+// Generated.
 func (p *Problem) Expand(v *PNode, c Constraints, ub float64, collectAll bool, np *NodePool) (children []*PNode, pruned PruneStats) {
 	s := v.K
 	if s >= p.n {
@@ -76,7 +76,7 @@ func (p *Problem) Expand(v *PNode, c Constraints, ub float64, collectAll bool, n
 		}
 		pruned.Dominance += int64(positions - 1)
 		lb := p.childBound(v, s, pos, md) + tail
-		if lb > ub || (!collectAll && lb == ub) {
+		if Prune(lb, ub, collectAll) {
 			pruned.Bound++
 		} else {
 			children = append(children, p.insert(v, s, pos, np, md))
@@ -99,7 +99,7 @@ func (p *Problem) Expand(v *PNode, c Constraints, ub float64, collectAll bool, n
 			}
 		}
 		lb := p.childBound(v, s, pos, md) + tail
-		if lb > ub || (!collectAll && lb == ub) {
+		if Prune(lb, ub, collectAll) {
 			pruned.Bound++
 			continue
 		}

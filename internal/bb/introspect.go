@@ -1,7 +1,6 @@
 package bb
 
 import (
-	"math"
 	"time"
 
 	"evotree/internal/obs"
@@ -86,43 +85,10 @@ func (p PruneStats) ByRule(rule string) int64 {
 
 // CountExpand folds one Expand call into the statistics: kept children
 // plus every discarded candidate count as Generated, and the discards are
-// attributed per rule. Expand never discards by incumbent or budget, so
-// the legacy PrunedLB sum only grows by the bound component.
+// attributed per rule.
 func (s *Stats) CountExpand(kept int, pruned PruneStats) {
 	s.Generated += int64(kept) + pruned.Total()
 	s.Pruned.Add(pruned)
-	s.PrunedLB += pruned.Bound
-}
-
-// CountBoundPrune attributes n discards to the generation-time bound rule
-// and keeps the legacy PrunedLB sum consistent.
-func (s *Stats) CountBoundPrune(n int64) {
-	s.Pruned.Bound += n
-	s.PrunedLB += n
-}
-
-// CountIncumbentPrune attributes n discards of previously viable pool
-// nodes to an incumbent improvement. PrunedLB keeps counting them (it is
-// the historical bound+incumbent sum); PrunedIncumbent carries the split.
-func (s *Stats) CountIncumbentPrune(n int64) {
-	s.Pruned.Incumbent += n
-	s.PrunedIncumbent += n
-	s.PrunedLB += n
-}
-
-// CountUltrametricPrune attributes n pop-time discards to the ultrametric
-// propagation bound. Not part of PrunedLB, which stays the historical
-// bound+incumbent sum: propagation kills exactly the nodes the plain
-// bound missed, so folding it in would hide its measured value.
-func (s *Stats) CountUltrametricPrune(n int64) {
-	s.Pruned.Ultrametric += n
-}
-
-// CountBudgetPrune attributes n abandoned nodes to search truncation
-// (MaxNodes or context cancellation). Not part of PrunedLB: these nodes
-// were never proven hopeless.
-func (s *Stats) CountBudgetPrune(n int64) {
-	s.Pruned.Budget += n
 }
 
 // EmitPruneStats flushes a per-rule prune attribution block as batched
@@ -212,16 +178,4 @@ func (g *gapSampler) emit(ub, bestLB float64, expanded, frontier int64, rate flo
 		Frontier: frontier,
 		Elapsed:  now.Sub(g.start),
 	})
-}
-
-// minLB returns the smallest lower bound among nodes, +Inf for none —
-// the exact best-open-LB of a sequential frontier at sample time.
-func minLB(nodes []*PNode) float64 {
-	best := math.Inf(1)
-	for _, v := range nodes {
-		if v.LB < best {
-			best = v.LB
-		}
-	}
-	return best
 }

@@ -10,10 +10,12 @@
 // and the optional 3-3 relationship constraint applied when the third
 // species is inserted.
 //
-// The package also exposes the search frontier (Problem / PNode / Expand)
-// so the parallel engine (internal/pbb) and the cluster simulator
-// (internal/cluster) can drive the identical search with their own pool
-// disciplines.
+// The branch-and-bound step itself exists once, as Search: the sequential
+// and best-first engines here, the parallel engine (internal/pbb) and the
+// distributed farm (internal/dist) run it over their own frontiers. The
+// package also exposes the search tree (Problem / PNode / Expand) so the
+// cluster simulator (internal/cluster) can replay the search on its
+// virtual clock.
 package bb
 
 import (
@@ -176,4 +178,3 @@ type permView struct{ p *Problem }
 
 func (v permView) Len() int            { return v.p.n }
 func (v permView) At(i, j int) float64 { return v.p.dist(i, j) }
-

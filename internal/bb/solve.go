@@ -110,14 +110,16 @@ func (opt Options) ruleSet() string {
 	return s
 }
 
-// EmitSearchConfig publishes the obs.SearchConfig event describing the
-// rules opt enables, right after ProblemStart. Shared by every engine so
-// traces and dashboards can attribute prune-rate differences to the
-// configuration that produced them. No-op on a nil probe.
-func EmitSearchConfig(p obs.Probe, n int, opt Options) {
+// EmitStart publishes the obs.ProblemStart event of a search over n
+// species and, right after it, the obs.SearchConfig event naming the rules
+// opt enables. Shared by every engine so traces and dashboards can
+// attribute prune-rate differences to the configuration that produced
+// them. No-op on a nil probe.
+func EmitStart(p obs.Probe, n int, opt Options) {
 	if p == nil {
 		return
 	}
+	p.Emit(obs.Event{Kind: obs.ProblemStart, Worker: obs.MasterWorker, N: n})
 	p.Emit(obs.Event{Kind: obs.SearchConfig, Worker: obs.MasterWorker,
 		N: n, Phase: opt.ruleSet()})
 }
@@ -134,16 +136,8 @@ type Stats struct {
 	// Generated counts candidate children considered: survivors plus
 	// every candidate a rule discarded (bound, 3-3, constraint).
 	Generated int64
-	// PrunedLB is the historical "discarded by LB ≥ UB" sum — kept as
-	// Pruned.Bound + Pruned.Incumbent for compatibility; see
-	// PrunedIncumbent and Pruned for the split.
-	PrunedLB int64
-	// PrunedIncumbent counts nodes that entered the pool/frontier while
-	// viable and were discarded later because the incumbent improved
-	// (identical to Pruned.Incumbent, surfaced as a flat field).
-	PrunedIncumbent int64
-	Solutions       int64 // complete topologies reaching the incumbent cost
-	UBUpdates       int64 // strict improvements of the upper bound
+	Solutions int64 // complete topologies reaching the incumbent cost
+	UBUpdates int64 // strict improvements of the upper bound
 	// Completed counts complete topologies consumed by the search,
 	// whether or not they matched the incumbent.
 	Completed int64
@@ -159,8 +153,6 @@ type Stats struct {
 func (s *Stats) Add(other Stats) {
 	s.Expanded += other.Expanded
 	s.Generated += other.Generated
-	s.PrunedLB += other.PrunedLB
-	s.PrunedIncumbent += other.PrunedIncumbent
 	s.Solutions += other.Solutions
 	s.UBUpdates += other.UBUpdates
 	s.Completed += other.Completed
@@ -204,176 +196,156 @@ func Solve(m *matrix.Matrix, opt Options) (*Result, error) {
 // always descends into the child with the smallest lower bound first, which
 // is the paper's "get the tree for branch using DFS" on a sorted pool.
 func (p *Problem) SolveSequential(opt Options) *Result {
-	res := &Result{OpenLB: math.Inf(1)}
-	start := time.Now()
-	if opt.Probe != nil {
-		opt.Probe.Emit(obs.Event{Kind: obs.ProblemStart, Worker: obs.MasterWorker, N: p.n})
-		EmitSearchConfig(opt.Probe, p.n, opt)
-	}
-	ubTree, ubCost := p.InitialUpperBound()
-	ub := ubCost
-	if opt.NoInitialUB {
-		ub, ubTree = math.Inf(1), nil
-	}
-	external := opt.InitialUB > 0 && opt.InitialUB < ub
-	if external {
-		// Search against the tighter externally supplied bound, keeping
-		// the UPGMM tree around as the feasible fallback incumbent.
-		ub = opt.InitialUB
-	}
-	if opt.Probe != nil && !math.IsInf(ub, 1) {
-		opt.Probe.Emit(obs.Event{Kind: obs.SeedBound, Worker: obs.MasterWorker,
-			Value: ub, Elapsed: time.Since(start)})
-	}
-	if external {
-		res.Tree, res.Cost = nil, ub
-	} else {
-		res.Tree, res.Cost = ubTree, ub
-		if opt.CollectAll && ubTree != nil {
-			res.Trees = []*tree.Tree{ubTree}
-		}
-	}
-	res.Optimal = true
-	gs := newGapSampler(opt.Probe, opt.GapPeriod, start)
-	var exitOpen int64 // nodes still open at exit (0 unless truncated)
-	defer func() {
-		if res.Tree == nil && ubTree != nil {
-			// Nothing beat the external bound: report the feasible UPGMM
-			// incumbent so Tree and Cost agree (see Result).
-			res.Tree, res.Cost = ubTree, ubCost
-		}
-		if opt.Probe != nil {
-			// Flush the batched prune attribution and the terminal gap
-			// snapshot BEFORE ProblemFinish: consumers rely on
-			// ProblemFinish staying the final event of a search.
-			EmitPruneStats(opt.Probe, obs.MasterWorker, res.Stats.Pruned, time.Since(start))
-			gs.sampleNow(res.Cost, res.OpenLB, res.Stats.Expanded, exitOpen)
-			opt.Probe.Emit(obs.Event{Kind: obs.ProblemFinish, Worker: obs.MasterWorker,
-				Value: res.Cost, Nodes: res.Stats.Expanded, Elapsed: time.Since(start)})
-		}
-	}()
+	return p.solveLocal(opt, &Stack{}, true)
+}
 
-	// The cancellation gate counts loop iterations, not expansions: long
-	// pruning streaks leave Stats.Expanded frozen, and gating on it would
-	// either re-poll the context every iteration (Expanded%1024 stuck at
-	// 0) or never poll it again (stuck at a non-zero residue).
-	var iter int64
-	np := p.NewPool()
-	stack := []*PNode{p.Root()}
-	res.Stats.Roots++
-	if gs.enabled() {
-		gs.sampleNow(ub, stack[0].LB, 0, 1)
+// localFrontier is a frontier owned by one goroutine, whose open nodes a
+// truncated search abandons in one sweep.
+type localFrontier interface {
+	Frontier
+	open() []*PNode
+}
+
+// solveLocal runs a single-goroutine search over f, the engine's whole
+// scheduling discipline: Stack for SolveSequential, an LB heap for
+// SolveBestFirst (ordered).
+func (p *Problem) solveLocal(opt Options, f localFrontier, worstFirst bool) *Result {
+	start := time.Now()
+	EmitStart(opt.Probe, p.n, opt)
+	seed := p.SeedIncumbent(opt, start)
+	best := p.NewBest(seed, opt, start)
+	s := p.NewSearch(opt, best, p.NewPool(), NewBudget(opt.MaxNodes))
+	s.WorstFirst = worstFirst
+	// An LB-ordered frontier ends the search at its first pruned pop.
+	_, s.ordered = f.(*bestFirst)
+	s.SampleGap(opt.Probe, opt.GapPeriod, start)
+	f.Push([]*PNode{s.Root()})
+	s.Run(f)
+	if s.Stopped() {
+		s.Abandon(f.open()...)
 	}
-	for len(stack) > 0 {
-		if len(stack) > res.Stats.MaxPoolLen {
-			res.Stats.MaxPoolLen = len(stack)
-		}
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		iter++
-		if opt.Ctx != nil && iter%1024 == 1 {
-			select {
-			case <-opt.Ctx.Done():
-				res.Optimal = false
-				res.Stats.CountBudgetPrune(int64(len(stack)) + 1)
-				res.OpenLB = math.Min(v.LB, minLB(stack))
-				exitOpen = int64(len(stack)) + 1
-				return res
-			default:
-			}
-		}
-		if gs.enabled() && iter%1024 == 0 {
-			gs.maybeSample(ub, math.Min(v.LB, minLB(stack)),
-				res.Stats.Expanded, int64(len(stack))+1)
-		}
-		if prune(v.LB, ub, opt.CollectAll) {
-			res.Stats.CountIncumbentPrune(1)
-			np.Put(v)
-			continue
-		}
-		if opt.Propagate {
-			if plb := p.PropagatedLB(v, np); prune(plb, ub, opt.CollectAll) {
-				res.Stats.CountUltrametricPrune(1)
-				np.Put(v)
-				continue
-			}
-		}
-		if opt.MaxNodes > 0 && res.Stats.Expanded >= opt.MaxNodes {
-			res.Optimal = false
-			res.Stats.CountBudgetPrune(int64(len(stack)) + 1)
-			res.OpenLB = math.Min(v.LB, minLB(stack))
-			exitOpen = int64(len(stack)) + 1
-			break
-		}
-		res.Stats.Expanded++
-		children, pruned := p.Expand(v, opt.Constraints, ub, opt.CollectAll, np)
-		res.Stats.CountExpand(len(children), pruned)
-		np.Put(v)
-		// Children arrive sorted by ascending LB; push in reverse so the
-		// most promising child is popped first.
-		for i := len(children) - 1; i >= 0; i-- {
-			ch := children[i]
-			if prune(ch.LB, ub, opt.CollectAll) {
-				// An earlier sibling's solution improved ub after Expand's
-				// bound check — an incumbent discard, not a bound one.
-				res.Stats.CountIncumbentPrune(1)
-				np.Put(ch)
-				continue
-			}
-			if ch.Complete(p) {
-				res.Stats.Completed++
-				ub = p.recordSolution(ch, ub, opt, res, start)
-				np.Put(ch)
-				continue
-			}
-			stack = append(stack, ch)
-		}
+	res := &Result{Trees: best.Trees, Optimal: !s.Stopped(), OpenLB: s.OpenLB, Stats: s.Stats}
+	res.Stats.Solutions, res.Stats.UBUpdates = best.Solutions, best.UBUpdates
+	res.Tree, res.Cost = seed.Resolve(best.Tree, best.Cost)
+	if opt.Probe != nil {
+		// Flush the batched prune attribution and the terminal gap
+		// snapshot BEFORE ProblemFinish: consumers rely on ProblemFinish
+		// staying the final event of a search.
+		EmitPruneStats(opt.Probe, obs.MasterWorker, res.Stats.Pruned, time.Since(start))
+		s.gs.sampleNow(res.Cost, res.OpenLB, res.Stats.Expanded, s.exitOpen)
+		opt.Probe.Emit(obs.Event{Kind: obs.ProblemFinish, Worker: obs.MasterWorker,
+			Value: res.Cost, Nodes: res.Stats.Expanded, Elapsed: time.Since(start)})
 	}
 	return res
 }
 
-// prune reports whether a node with the given lower bound cannot improve
-// (or, when collecting all optima, cannot match) the incumbent.
-func prune(lb, ub float64, collectAll bool) bool {
-	if collectAll {
-		return lb > ub
-	}
-	return lb >= ub
+// Seed is the incumbent a search starts from (Step 3 of BBU).
+type Seed struct {
+	// UB is the bound the search starts pruning against.
+	UB float64
+	// Tree is the incumbent tree at UB: nil when UB is external or +Inf.
+	Tree *tree.Tree
+
+	upgmm     *tree.Tree // feasible fallback for an external UB
+	upgmmCost float64
 }
 
-// recordSolution folds a complete topology into the result and returns the
-// (possibly improved) upper bound.
-func (p *Problem) recordSolution(v *PNode, ub float64, opt Options, res *Result, start time.Time) float64 {
-	switch {
-	case v.Cost < ub:
-		ub = v.Cost
-		res.Cost = v.Cost
-		res.Tree = v.Tree(p)
-		res.Stats.UBUpdates++
-		res.Stats.Solutions = 1
-		if opt.CollectAll {
-			res.Trees = res.Trees[:0]
-			res.Trees = append(res.Trees, res.Tree)
-		}
-		if opt.Probe != nil {
-			opt.Probe.Emit(obs.Event{Kind: obs.UBImproved, Worker: obs.MasterWorker,
-				Value: v.Cost, Nodes: res.Stats.Expanded, Elapsed: time.Since(start)})
-		}
-	case v.Cost == ub:
-		res.Stats.Solutions++
-		if opt.CollectAll {
-			res.Trees = append(res.Trees, v.Tree(p))
-		}
-		if res.Tree == nil {
-			res.Tree = v.Tree(p)
-			res.Cost = v.Cost
-		}
-		if opt.Probe != nil {
-			opt.Probe.Emit(obs.Event{Kind: obs.SolutionFound, Worker: obs.MasterWorker,
-				Value: v.Cost, Nodes: res.Stats.Expanded, Elapsed: time.Since(start)})
-		}
+// SeedIncumbent returns the starting incumbent under opt: the UPGMM tree
+// and its cost; +Inf and no tree under NoInitialUB; a tighter external
+// InitialUB with no tree, keeping the UPGMM tree as the fallback (see
+// Result). A finite seed is announced as obs.SeedBound.
+func (p *Problem) SeedIncumbent(opt Options, start time.Time) Seed {
+	t, cost := p.InitialUpperBound()
+	s := Seed{UB: cost, Tree: t, upgmm: t, upgmmCost: cost}
+	if opt.NoInitialUB {
+		s = Seed{UB: math.Inf(1)}
 	}
-	return ub
+	if opt.InitialUB > 0 && opt.InitialUB < s.UB {
+		s.UB, s.Tree = opt.InitialUB, nil
+	}
+	if opt.Probe != nil && !math.IsInf(s.UB, 1) {
+		opt.Probe.Emit(obs.Event{Kind: obs.SeedBound, Worker: obs.MasterWorker,
+			Value: s.UB, Elapsed: time.Since(start)})
+	}
+	return s
+}
+
+// Resolve returns the tree and cost a search reports: its own incumbent,
+// or — when nothing beat an external bound — the feasible UPGMM tree with
+// ITS cost, so Tree and Cost always agree.
+func (s Seed) Resolve(t *tree.Tree, cost float64) (*tree.Tree, float64) {
+	if t == nil && s.upgmm != nil {
+		return s.upgmm, s.upgmmCost
+	}
+	return t, cost
+}
+
+// Best is the incumbent record of a search: the best cost found, its tree
+// (every optimal tree under CollectAll) and the solution counts. It is the
+// Incumbent of the single-goroutine engines; the parallel engine guards
+// one with a mutex. Not safe for concurrent use.
+type Best struct {
+	Cost      float64
+	Tree      *tree.Tree   // nil while Cost is external or +Inf
+	Trees     []*tree.Tree // every tree at Cost, under CollectAll
+	Solutions int64        // complete topologies at Cost
+	UBUpdates int64        // strict improvements of Cost
+
+	p          *Problem
+	collectAll bool
+	probe      obs.Probe
+	start      time.Time
+}
+
+// NewBest returns a record holding the seed incumbent.
+func (p *Problem) NewBest(seed Seed, opt Options, start time.Time) *Best {
+	b := &Best{Cost: seed.UB, Tree: seed.Tree, p: p, collectAll: opt.CollectAll,
+		probe: opt.Probe, start: start}
+	if b.collectAll && b.Tree != nil {
+		b.Trees = []*tree.Tree{b.Tree}
+	}
+	return b
+}
+
+// Bound and Offer make Best the Incumbent of a single-goroutine search.
+func (b *Best) Bound() float64 { return b.Cost }
+
+func (b *Best) Offer(v *PNode, st *Stats) float64 {
+	b.Add(v, st.Expanded, obs.MasterWorker)
+	return b.Cost
+}
+
+// Add folds a complete topology found by worker, after expanded
+// expansions, into the record and reports whether it strictly improved
+// Cost. Topologies above Cost are ignored.
+func (b *Best) Add(v *PNode, expanded int64, worker int) bool {
+	kind := obs.SolutionFound
+	switch {
+	case v.Cost < b.Cost:
+		kind = obs.UBImproved
+		b.Cost = v.Cost
+		b.Tree = v.Tree(b.p)
+		b.UBUpdates++
+		b.Solutions = 1
+		if b.collectAll {
+			b.Trees = append(b.Trees[:0], b.Tree)
+		}
+	case v.Cost == b.Cost:
+		b.Solutions++
+		if b.collectAll {
+			b.Trees = append(b.Trees, v.Tree(b.p))
+		}
+		if b.Tree == nil {
+			b.Tree = v.Tree(b.p)
+		}
+	default:
+		return false
+	}
+	if b.probe != nil {
+		b.probe.Emit(obs.Event{Kind: kind, Worker: worker,
+			Value: v.Cost, Nodes: expanded, Elapsed: time.Since(b.start)})
+	}
+	return kind == obs.UBImproved
 }
 
 // BruteForce enumerates every rooted binary topology over the species of m

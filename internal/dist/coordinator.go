@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"evotree/internal/bb"
@@ -37,10 +38,11 @@ type Options struct {
 	// Reduction picks the decompose-mode group-distance rule. Default
 	// compact.Maximum, the only rule that keeps the merged tree feasible.
 	Reduction compact.Reduction
-	// BB carries the search options. UseMaxMin and Constraints are
-	// shipped to the workers; MaxNodes is a farm-wide expansion budget;
-	// Ctx cancels Wait; Probe receives the coordinator's telemetry.
-	// InitialUB, NoInitialUB and CollectAll are not supported here.
+	// BB carries the search options. UseMaxMin, Constraints and
+	// Propagate are shipped to the workers; MaxNodes is a farm-wide
+	// expansion budget; Ctx cancels Wait; Probe receives the
+	// coordinator's telemetry. NewCoordinator rejects InitialUB,
+	// NoInitialUB and CollectAll.
 	BB bb.Options
 	// LeaseTTL is how long a worker may hold a unit before the
 	// coordinator re-queues it for someone else. Default 10s.
@@ -171,8 +173,7 @@ type Coordinator struct {
 	ubUpdates   int64
 	truncated   bool
 	openLB      float64
-	limited     bool
-	remaining   int64 // remaining shared expansion budget (when limited)
+	budget      *atomic.Int64 // farm-wide expansion budget, nil when unlimited
 
 	dispatches, requeues, stale, broadcasts, messages int64
 
@@ -185,21 +186,23 @@ type Coordinator struct {
 // returns a coordinator ready to serve workers. The master slicing runs
 // synchronously here (bounded: Fanout×Workers nodes per matrix).
 func NewCoordinator(m *matrix.Matrix, opt Options) (*Coordinator, error) {
+	if opt.BB.CollectAll || opt.BB.InitialUB != 0 || opt.BB.NoInitialUB {
+		return nil, fmt.Errorf("dist: CollectAll, InitialUB and NoInitialUB are not supported by the farm")
+	}
 	opt = opt.withDefaults()
 	c := &Coordinator{
-		opt:       opt,
-		m:         m,
-		probe:     opt.BB.Probe,
-		start:     time.Now(),
-		job:       randomJobID(),
-		boundCh:   make(chan struct{}),
-		doneCh:    make(chan struct{}),
-		workers:   make(map[string]*workerEntry),
-		openLB:    math.Inf(1),
-		limited:   opt.BB.MaxNodes > 0,
-		remaining: opt.BB.MaxNodes,
+		opt:     opt,
+		m:       m,
+		probe:   opt.BB.Probe,
+		start:   time.Now(),
+		job:     randomJobID(),
+		boundCh: make(chan struct{}),
+		doneCh:  make(chan struct{}),
+		workers: make(map[string]*workerEntry),
+		openLB:  math.Inf(1),
+		budget:  bb.NewBudget(opt.BB.MaxNodes),
 	}
-	c.emit(obs.Event{Kind: obs.ProblemStart, Worker: obs.MasterWorker, N: m.Len()})
+	bb.EmitStart(c.probe, m.Len(), opt.BB)
 	if opt.Decompose {
 		hier, sets, err := compact.BuildHierarchy(m)
 		if err != nil {
@@ -269,75 +272,42 @@ func (c *Coordinator) addMatrix(m *matrix.Matrix) (*coordMatrix, error) {
 	return cm, nil
 }
 
-// slice runs the master branching phase for cm: breadth-first expansion
-// until the frontier can feed every worker, then one unit per frontier
-// node. Mirrors the in-process parallel engine's master phase, including
-// budget and cancellation handling.
+// slice runs the shared master phase for cm (bb.Search.Slice) and turns
+// every open node it returns into one unit. The phase draws on the
+// farm-wide expansion budget; when the budget or the context stops it,
+// the farm is truncated and the matrix gets no units.
 func (c *Coordinator) slice(cm *coordMatrix) {
 	target := c.opt.Fanout * c.opt.Workers
 	if target < 2 {
 		target = 2
 	}
-	frontier := []*bb.PNode{cm.p.Root()}
-	c.masterStats.Roots++
-	for len(frontier) > 0 && len(frontier) < target {
-		if c.limited && c.masterStats.Expanded >= c.opt.BB.MaxNodes {
-			c.truncated = true
-			break
-		}
-		if ctx := c.opt.BB.Ctx; ctx != nil {
-			select {
-			case <-ctx.Done():
-				c.truncated = true
-			default:
-			}
-			if c.truncated {
-				break
-			}
-		}
-		v := frontier[0]
-		frontier = frontier[1:]
-		if v.Complete(cm.p) {
-			c.masterStats.Completed++
-			c.offerCost(cm, v.Path(), v.Cost, obs.MasterWorker)
-			cm.np.Put(v)
-			continue
-		}
-		c.masterStats.Expanded++
-		children, pruned := cm.p.Expand(v, c.opt.BB.Constraints, cm.ub, false, cm.np)
-		c.masterStats.CountExpand(len(children), pruned)
-		cm.np.Put(v)
-		for _, ch := range children {
-			if ch.LB >= cm.ub {
-				c.masterStats.CountIncumbentPrune(1)
-				cm.np.Put(ch)
-				continue
-			}
-			if ch.Complete(cm.p) {
-				c.masterStats.Completed++
-				c.offerCost(cm, ch.Path(), ch.Cost, obs.MasterWorker)
-				cm.np.Put(ch)
-				continue
-			}
-			frontier = append(frontier, ch)
-		}
+	s := cm.p.NewSearch(c.opt.BB, masterIncumbent{c, cm}, cm.np, c.budget)
+	frontier := s.Slice(target)
+	c.masterStats.Add(s.Stats)
+	if s.Stopped() {
+		c.truncated = true
+		c.openLB = math.Min(c.openLB, s.OpenLB)
 	}
-	bb.SortByLB(frontier)
 	for _, v := range frontier {
-		// Master completions may have tightened the bound after v entered
-		// the frontier; discard it here rather than shipping a unit whose
-		// first act would be pruning itself.
-		if v.LB >= cm.ub {
-			c.masterStats.CountIncumbentPrune(1)
-			cm.np.Put(v)
-			continue
-		}
 		u := &unit{id: len(c.units), mid: cm.id, path: v.Path(), lb: v.LB, queued: true}
 		c.units = append(c.units, u)
 		c.queue = append(c.queue, u.id)
 		c.outstanding++
 		cm.np.Put(v)
 	}
+}
+
+// masterIncumbent is a matrix's incumbent as seen by the master phase.
+type masterIncumbent struct {
+	c  *Coordinator
+	cm *coordMatrix
+}
+
+func (m masterIncumbent) Bound() float64 { return m.cm.ub }
+
+func (m masterIncumbent) Offer(v *bb.PNode, _ *bb.Stats) float64 {
+	m.c.offerCost(m.cm, v.Path(), v.Cost, obs.MasterWorker)
+	return m.cm.ub
 }
 
 // offerCost folds a complete topology (as path + recomputed cost) into a
@@ -507,6 +477,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 		Job:         c.job,
 		UseMaxMin:   c.opt.BB.UseMaxMin,
 		Constraints: c.opt.BB.Constraints,
+		Propagate:   c.opt.BB.Propagate,
 		LeaseTTLMS:  c.opt.LeaseTTL.Milliseconds(),
 		Epoch:       c.epoch,
 		Bounds:      c.boundsLocked(),
@@ -556,9 +527,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		c.emit(obs.Event{Kind: obs.Dispatch, Worker: we.id, Nodes: int64(uid),
 			Elapsed: time.Since(c.start)})
 		resp.Unit, resp.Seq, resp.Matrix, resp.Path = u.id, u.seq, u.mid, u.path
-		if c.limited {
+		if c.budget != nil {
 			resp.Limited = true
-			resp.Budget = c.remaining
+			resp.Budget = max(0, c.budget.Load())
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -607,11 +578,8 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 		c.outstanding--
 		c.foldedStats.Add(req.Stats)
-		if c.limited {
-			c.remaining -= req.Stats.Expanded
-			if c.remaining < 0 {
-				c.remaining = 0
-			}
+		if c.budget != nil {
+			c.budget.Add(-req.Stats.Expanded)
 		}
 		if req.Truncated {
 			c.truncated = true
@@ -729,7 +697,7 @@ func (c *Coordinator) assemble(cancelled bool) (*Result, error) {
 			}
 			u.done = true
 			c.truncated = true
-			c.masterStats.CountBudgetPrune(1)
+			c.masterStats.Pruned.Budget++
 			if u.lb < c.openLB {
 				c.openLB = u.lb
 			}

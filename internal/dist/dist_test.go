@@ -151,3 +151,46 @@ func TestSolveBudget(t *testing.T) {
 	}
 	identity(t, res.Stats)
 }
+
+// TestSolveRejectsUnsupportedOptions: the farm has no external bound, no
+// unseeded ablation and no optimum set, so it refuses those options
+// instead of ignoring them.
+func TestSolveRejectsUnsupportedOptions(t *testing.T) {
+	m := matrix.Random0100(rand.New(rand.NewSource(11)), 6)
+	for name, set := range map[string]func(*bb.Options){
+		"CollectAll":  func(o *bb.Options) { o.CollectAll = true },
+		"InitialUB":   func(o *bb.Options) { o.InitialUB = 1 },
+		"NoInitialUB": func(o *bb.Options) { o.NoInitialUB = true },
+	} {
+		opt := Options{Workers: 1, BB: bb.DefaultOptions()}
+		set(&opt.BB)
+		if _, err := NewCoordinator(m, opt); err == nil {
+			t.Errorf("%s: NewCoordinator accepted it", name)
+		}
+	}
+}
+
+// TestSolvePropagates checks that Options.BB.Propagate reaches the farm's
+// workers: the propagation bound prunes nodes there, and the optimum is
+// the sequential engine's.
+func TestSolvePropagates(t *testing.T) {
+	m := matrix.Random0100(rand.New(rand.NewSource(13)), 12)
+	seq, err := bb.Solve(m, bb.StrongOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Stats.Pruned.Ultrametric == 0 {
+		t.Fatal("test premise broken: propagation prunes nothing sequentially")
+	}
+	res, err := Solve(m, Options{Workers: 2, BB: bb.StrongOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cost != seq.Cost || !res.Optimal {
+		t.Fatalf("farm cost %v (optimal=%v), sequential %v", res.Cost, res.Optimal, seq.Cost)
+	}
+	if res.Stats.Pruned.Ultrametric == 0 {
+		t.Fatalf("farm ran without propagation: %+v", res.Stats.Pruned)
+	}
+	identity(t, res.Stats)
+}

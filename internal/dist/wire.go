@@ -99,6 +99,7 @@ type jobInfo struct {
 	Job         string         `json:"job"`
 	UseMaxMin   bool           `json:"use_max_min"`
 	Constraints bb.Constraints `json:"constraints"`
+	Propagate   bool           `json:"propagate"`
 	Matrices    []wireMatrix   `json:"matrices"`
 	LeaseTTLMS  int64          `json:"lease_ttl_ms"`
 	Epoch       uint64         `json:"epoch"`
@@ -157,9 +158,9 @@ type resultRequest struct {
 	// Truncated: the unit's expansion budget ran out; OpenLB carries the
 	// best lower bound among the abandoned nodes when HasOpen is set
 	// (+Inf is not JSON-encodable, so absence means "none open").
-	Truncated bool    `json:"truncated,omitempty"`
-	HasOpen   bool    `json:"has_open,omitempty"`
-	OpenLB    float64 `json:"open_lb,omitempty"`
+	Truncated bool     `json:"truncated,omitempty"`
+	HasOpen   bool     `json:"has_open,omitempty"`
+	OpenLB    float64  `json:"open_lb,omitempty"`
 	Stats     bb.Stats `json:"stats"`
 	// Best is the cheapest complete topology the unit found, if any.
 	// Normally already published via POST /v1/bound; carried here too so

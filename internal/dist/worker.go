@@ -219,13 +219,11 @@ func (w *worker) leaseLoop(ctx context.Context) error {
 	}
 }
 
-// solveUnit replays the unit's seed path and runs the depth-first
-// branch-and-bound below it against the shared incumbent mirror. The seed
-// node is not counted as a root — the coordinator generated it during
+// solveUnit replays the unit's seed path and runs the shared depth-first
+// branch-and-bound step below it, against the shared incumbent mirror. The
+// seed node is not counted as a root — the coordinator generated it during
 // slicing, so the farm-wide ledger balances with the coordinator's single
-// root per matrix. Strict improvements are published synchronously via
-// POST /v1/bound before the search continues, so sibling workers re-prune
-// as early as possible.
+// root per matrix.
 func (w *worker) solveUnit(ctx context.Context, lease leaseResponse) (resultRequest, error) {
 	res := resultRequest{Job: w.job.Job, Worker: w.opt.Name, Unit: lease.Unit, Seq: lease.Seq}
 	p, np := w.probs[lease.Matrix], w.pools[lease.Matrix]
@@ -236,108 +234,81 @@ func (w *worker) solveUnit(ctx context.Context, lease leaseResponse) (resultRequ
 	if err != nil {
 		return res, fmt.Errorf("dist: unit %d seed: %w", lease.Unit, err)
 	}
-
-	budget := int64(math.MaxInt64)
+	var budget *atomic.Int64
 	if lease.Limited {
-		budget = lease.Budget
+		budget = &atomic.Int64{}
+		budget.Store(lease.Budget)
 	}
-	openLB := math.Inf(1)
-	abandon := func(stack []*bb.PNode, v *bb.PNode) {
+	opt := bb.Options{Constraints: w.job.Constraints, Propagate: w.job.Propagate, Ctx: ctx}
+	inc := &unitIncumbent{w: w, ctx: ctx, mid: lease.Matrix, cost: math.Inf(1)}
+	search := p.NewSearch(opt, inc, np, budget)
+	search.WorstFirst = true
+	f := &unitStack{Stack: bb.Stack{seed}, ctx: ctx, delay: w.opt.StepDelay}
+	search.Run(f)
+	if search.Stopped() {
+		search.Abandon(f.Stack...)
 		res.Truncated = true
-		res.Stats.CountBudgetPrune(int64(len(stack)) + 1)
-		openLB = math.Min(openLB, v.LB)
-		for _, o := range stack {
-			openLB = math.Min(openLB, o.LB)
-			np.Put(o)
-		}
-		np.Put(v)
-	}
-
-	var iter int64
-	stack := []*bb.PNode{seed}
-	var bestPath []int
-	bestCost := math.Inf(1)
-loop:
-	for len(stack) > 0 {
-		if len(stack) > res.Stats.MaxPoolLen {
-			res.Stats.MaxPoolLen = len(stack)
-		}
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		iter++
-		if iter%256 == 1 && ctx.Err() != nil {
-			abandon(stack, v)
-			break loop
-		}
-		ub := math.Min(w.bound(lease.Matrix), bestCost)
-		if v.LB >= ub {
-			res.Stats.CountIncumbentPrune(1)
-			np.Put(v)
-			continue
-		}
-		if res.Stats.Expanded >= budget {
-			abandon(stack, v)
-			break loop
-		}
-		if w.opt.StepDelay > 0 {
-			sleep(ctx, w.opt.StepDelay)
-		}
-		res.Stats.Expanded++
-		children, pruned := p.Expand(v, w.job.Constraints, ub, false, np)
-		res.Stats.CountExpand(len(children), pruned)
-		np.Put(v)
-		for i := len(children) - 1; i >= 0; i-- {
-			ch := children[i]
-			if ch.LB >= math.Min(w.bound(lease.Matrix), bestCost) {
-				res.Stats.CountIncumbentPrune(1)
-				np.Put(ch)
-				continue
-			}
-			if ch.Complete(p) {
-				res.Stats.Completed++
-				w.recordSolution(ctx, lease.Matrix, ch, &bestPath, &bestCost, &res)
-				np.Put(ch)
-				continue
-			}
-			stack = append(stack, ch)
+		if !math.IsInf(search.OpenLB, 1) {
+			res.HasOpen, res.OpenLB = true, search.OpenLB
 		}
 	}
-	if res.Truncated && !math.IsInf(openLB, 1) {
-		res.HasOpen, res.OpenLB = true, openLB
-	}
-	if bestPath != nil {
-		res.Best = &wireSolution{Matrix: lease.Matrix, Path: bestPath, Cost: bestCost}
+	res.Stats = search.Stats
+	if inc.best != nil {
+		res.Best = &wireSolution{Matrix: lease.Matrix, Path: inc.best, Cost: inc.cost}
 	}
 	return res, nil
 }
 
-// recordSolution folds a complete topology into the unit's tally and
-// publishes strict global improvements to the coordinator. Publish
-// failures are tolerated: the solution still rides along in the final
-// resultRequest.Best, so a lost broadcast cannot lose the optimum.
-func (w *worker) recordSolution(ctx context.Context, mid int, ch *bb.PNode, bestPath *[]int, bestCost *float64, res *resultRequest) {
-	if ch.Cost < *bestCost {
-		*bestCost = ch.Cost
-		*bestPath = ch.Path()
-		res.Stats.UBUpdates++
-		res.Stats.Solutions = 1
-		if ch.Cost < w.bound(mid) {
-			var ack boundsResponse
-			err := w.postJSON(ctx, pathBound, boundRequest{
-				Job: w.job.Job, Worker: w.opt.Name,
-				Solution: wireSolution{Matrix: mid, Path: *bestPath, Cost: ch.Cost},
-			}, &ack)
-			if err == nil {
-				w.applyBounds(ack.Epoch, ack.Bounds)
-			} else {
-				// Keep pruning against it locally even though the publish
-				// failed.
-				w.applyBounds(w.epoch.Load(), []wireBound{{Matrix: mid, Cost: ch.Cost}})
-			}
-		}
-	} else if ch.Cost == *bestCost {
-		res.Stats.Solutions++
+// unitStack is a unit's depth-first frontier, throttled by
+// WorkerOptions.StepDelay once per expansion.
+type unitStack struct {
+	bb.Stack
+	ctx   context.Context
+	delay time.Duration
+}
+
+func (f *unitStack) Push(kids []*bb.PNode) {
+	if f.delay > 0 {
+		sleep(f.ctx, f.delay)
 	}
+	f.Stack.Push(kids)
+}
+
+// unitIncumbent is a unit's incumbent: the better of the shared mirror
+// and the unit's own best. Strict global improvements are published
+// synchronously via POST /v1/bound before the search continues, so
+// sibling workers re-prune as early as possible. Publish failures are
+// tolerated: the solution still rides along in the final
+// resultRequest.Best, so a lost broadcast cannot lose the optimum.
+type unitIncumbent struct {
+	w    *worker
+	ctx  context.Context
+	mid  int
+	best []int // insertion path of the unit's best solution
+	cost float64
+}
+
+func (u *unitIncumbent) Bound() float64 { return math.Min(u.w.bound(u.mid), u.cost) }
+
+func (u *unitIncumbent) Offer(v *bb.PNode, st *bb.Stats) float64 {
+	u.cost, u.best = v.Cost, v.Path()
+	st.UBUpdates++
+	st.Solutions = 1
+	if w := u.w; v.Cost < w.bound(u.mid) {
+		var ack boundsResponse
+		err := w.postJSON(u.ctx, pathBound, boundRequest{
+			Job: w.job.Job, Worker: w.opt.Name,
+			Solution: wireSolution{Matrix: u.mid, Path: u.best, Cost: v.Cost},
+		}, &ack)
+		if err == nil {
+			w.applyBounds(ack.Epoch, ack.Bounds)
+		} else {
+			// Keep pruning against it locally even though the publish
+			// failed.
+			w.applyBounds(w.epoch.Load(), []wireBound{{Matrix: u.mid, Cost: v.Cost}})
+		}
+	}
+	return u.Bound()
 }
 
 // getJSON GETs path?query and decodes the response.

@@ -21,6 +21,11 @@
 // read by a single load, termination is detected by atomic in-flight
 // counting, and idle workers spin briefly before parking.
 //
+// The master phase (bb.Search.Slice) and every worker run the shared
+// branch-and-bound step of bb.Search; this package supplies only the
+// scheduling — the deques, the ring, stealing, parking and termination —
+// and the shared incumbent.
+//
 // Because an improvement found by any worker prunes the others' subtrees
 // at once, the engine explores fewer nodes than the sequential search on
 // many instances — the effect behind the super-linear speedups reported in
@@ -36,14 +41,12 @@ import (
 	"evotree/internal/bb"
 	"evotree/internal/matrix"
 	"evotree/internal/obs"
-	"evotree/internal/tree"
 )
 
 // Options configure a parallel solve. The embedded bb.Options apply to the
-// whole search: MaxNodes is a shared expansion budget charged by the master
-// phase first and then split among the workers (never negatively), and Ctx
-// cancels the master's branching loop as well as every worker. Either
-// trigger returns the incumbent with Optimal=false.
+// whole search: MaxNodes is one expansion budget shared by the master phase
+// and every worker, and Ctx cancels the master's branching loop as well as
+// every worker. Either trigger returns the incumbent with Optimal=false.
 type Options struct {
 	bb.Options
 	// Workers is the number of computing nodes (goroutines). Zero or
@@ -88,116 +91,22 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 		opt.InitialFanout = 2
 	}
 	res := &Result{WorkerStats: make([]bb.Stats, opt.Workers)}
-	res.Optimal = true
-	res.OpenLB = math.Inf(1)
 	start := time.Now()
 	probe := opt.Probe
-	if probe != nil {
-		probe.Emit(obs.Event{Kind: obs.ProblemStart, Worker: obs.MasterWorker, N: p.N()})
-		bb.EmitSearchConfig(probe, p.N(), opt.Options)
-	}
-
-	inc := newIncumbent(opt.CollectAll)
-	inc.probe, inc.start = probe, start
-	ubTree, ubCost := p.InitialUpperBound()
-	ub := ubCost
-	if opt.NoInitialUB {
-		// Honor the ablation flag exactly like the sequential engine: the
-		// search starts from an infinite bound instead of the UPGMM seed.
-		ub, ubTree = math.Inf(1), nil
-	}
-	external := opt.InitialUB > 0 && opt.InitialUB < ub
-	if external {
-		// Search against the tighter externally supplied bound, keeping
-		// the UPGMM tree around as the feasible fallback incumbent.
-		ub = opt.InitialUB
-		inc.seed(ub, nil)
-	} else {
-		inc.seed(ub, ubTree)
-	}
-	if probe != nil && !math.IsInf(ub, 1) {
-		probe.Emit(obs.Event{Kind: obs.SeedBound, Worker: obs.MasterWorker,
-			Value: ub, Elapsed: time.Since(start)})
-	}
+	bb.EmitStart(probe, p.N(), opt.Options)
+	seed := p.SeedIncumbent(opt.Options, start)
+	inc := newIncumbent(p.NewBest(seed, opt.Options, start))
 
 	// Master phase: breadth-first branching until the frontier is large
-	// enough to feed every worker (Steps 1–5). The master honors the
-	// shared expansion budget and the context exactly like the workers do:
-	// a small Options.MaxNodes must cap the whole search, not just the
-	// worker phase, and both trips force Optimal=false.
-	target := opt.InitialFanout * opt.Workers
-	frontier := []*bb.PNode{p.Root()}
-	mp := p.NewPool()
-	var masterStats bb.Stats
-	masterStats.Roots++
-	sampling := probe != nil && opt.GapPeriod > 0
-	if sampling {
-		// Initial convergence snapshot: one root open, nothing expanded.
-		probe.Emit(obs.Event{Kind: obs.GapSample, Worker: obs.MasterWorker,
-			Value: ub, BestLB: frontier[0].LB, Gap: obs.GapRatio(ub, frontier[0].LB),
-			Frontier: 1, Elapsed: time.Since(start)})
-	}
-	truncated := false
-	for len(frontier) > 0 && len(frontier) < target {
-		if opt.MaxNodes > 0 && masterStats.Expanded >= opt.MaxNodes {
-			truncated = true
-			break
-		}
-		if opt.Ctx != nil {
-			select {
-			case <-opt.Ctx.Done():
-				truncated = true
-			default:
-			}
-			if truncated {
-				break
-			}
-		}
-		// Expand the shallowest node first so the frontier stays level.
-		v := frontier[0]
-		frontier = frontier[1:]
-		if v.Complete(p) {
-			masterStats.Completed++
-			inc.offer(p, v, opt.CollectAll, &masterStats, obs.MasterWorker)
-			mp.Put(v)
-			continue
-		}
-		if opt.Propagate {
-			b := inc.bound()
-			if plb := p.PropagatedLB(v, mp); plb > b || (!opt.CollectAll && plb == b) {
-				masterStats.CountUltrametricPrune(1)
-				mp.Put(v)
-				continue
-			}
-		}
-		masterStats.Expanded++
-		children, pruned := p.Expand(v, opt.Constraints, inc.bound(), opt.CollectAll, mp)
-		masterStats.CountExpand(len(children), pruned)
-		mp.Put(v)
-		for _, ch := range children {
-			if b := inc.bound(); ch.LB > b || (!opt.CollectAll && ch.LB == b) {
-				// A sibling's complete topology tightened the incumbent
-				// after Expand's bound check.
-				masterStats.CountIncumbentPrune(1)
-				mp.Put(ch)
-				continue
-			}
-			if ch.Complete(p) {
-				masterStats.Completed++
-				inc.offer(p, ch, opt.CollectAll, &masterStats, obs.MasterWorker)
-				mp.Put(ch)
-				continue
-			}
-			frontier = append(frontier, ch)
-		}
-	}
-	if truncated {
-		res.Optimal = false
-	}
+	// enough to feed every worker (Steps 1–5). The expansion budget
+	// (Options.MaxNodes) is shared by the master and every worker, each
+	// expansion drawing one unit, and a master stopped by the budget or
+	// the context hands the workers nothing.
+	budget := bb.NewBudget(opt.MaxNodes)
+	master := p.NewSearch(opt.Options, inc.as(obs.MasterWorker), p.NewPool(), budget)
+	master.SampleGap(probe, opt.GapPeriod, start)
+	frontier := master.Slice(opt.InitialFanout * opt.Workers)
 	res.MasterNodes = len(frontier)
-	// The frontier accumulates Expand's already-ordered child runs, so the
-	// shared insertion sort finishes in near-linear time here.
-	bb.SortByLB(frontier)
 
 	// Step 6: cyclic dispatch; a 1/(workers+1) share stays in the global
 	// ring (the paper's master "preserves 1/p nodes in GP"), the rest is
@@ -219,31 +128,17 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 		sched.markDone()
 	}
 
-	// Step 7: workers. The expansion budget (Options.MaxNodes) is shared:
-	// workers take one unit per expansion from one atomic counter and stop
-	// expanding when it runs out, exactly like a cooperative cancellation.
-	var budget *atomic.Int64
-	if opt.MaxNodes > 0 {
-		budget = &atomic.Int64{}
-		// The master already consumed part of the budget; never seed the
-		// workers with a negative remainder (a truncated master phase leaves
-		// exactly zero, which makes every worker drain without expanding).
-		remaining := opt.MaxNodes - masterStats.Expanded
-		if remaining < 0 {
-			remaining = 0
-		}
-		budget.Store(remaining)
-	}
 	// Gap sampler: a goroutine reading the workers' published telemetry
 	// slots at GapPeriod. Started only when sampling is on, stopped (and
 	// joined) before any terminal event so ProblemFinish stays last. The
 	// master's expansion count is frozen here, so the sampler never reads
-	// masterStats concurrently.
+	// the master's statistics concurrently.
+	sampling := probe != nil && opt.GapPeriod > 0
 	sched.sampling = sampling
 	var samplerStop, samplerDone chan struct{}
 	if sampling {
 		samplerStop, samplerDone = make(chan struct{}), make(chan struct{})
-		masterExpanded := masterStats.Expanded
+		masterExpanded := master.Stats.Expanded
 		go func() {
 			defer close(samplerDone)
 			tick := time.NewTicker(opt.GapPeriod)
@@ -272,14 +167,14 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 		}()
 	}
 
+	// Step 7: workers.
 	var wg sync.WaitGroup
-	cancelled := make([]bool, opt.Workers)
-	openMins := make([]float64, opt.Workers)
+	workers := make([]*bb.Search, opt.Workers)
 	for w := 0; w < opt.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cancelled[w], openMins[w] = runWorker(p, opt, sched, inc, locals[w], &res.WorkerStats[w], budget, w, start)
+			workers[w] = runWorker(p, opt, sched, inc, locals[w], budget, w, start)
 		}(w)
 	}
 	wg.Wait()
@@ -287,19 +182,16 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 		close(samplerStop)
 		<-samplerDone
 	}
-	for w, c := range cancelled {
-		if c {
-			res.Optimal = false
-		}
-		if openMins[w] < res.OpenLB {
-			res.OpenLB = openMins[w]
-		}
-	}
 
 	// Step 8: gather.
-	res.Stats = masterStats
-	for i := range res.WorkerStats {
-		res.Stats.Add(res.WorkerStats[i])
+	res.Optimal = !master.Stopped()
+	res.OpenLB = master.OpenLB
+	res.Stats = master.Stats
+	for w, ws := range workers {
+		res.Optimal = res.Optimal && !ws.Stopped()
+		res.OpenLB = math.Min(res.OpenLB, ws.OpenLB)
+		res.WorkerStats[w] = ws.Stats
+		res.Stats.Add(ws.Stats)
 	}
 	res.PoolGets, res.PoolPuts = sched.ring.gets.Load(), sched.ring.puts.Load()
 	res.Sched = SchedStats{
@@ -308,21 +200,15 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 		Donates:    sched.donates.Load(),
 		Dispatches: int64(res.MasterNodes),
 	}
-	res.Cost = inc.bound()
-	res.Tree = inc.tree
-	res.Trees = inc.trees
-	res.Stats.Solutions = inc.solutions
-	res.Stats.UBUpdates = inc.updates
-	if res.Tree == nil && ubTree != nil {
-		// Nothing beat the external bound: report the feasible UPGMM
-		// incumbent with ITS cost so Tree and Cost agree (see bb.Result).
-		res.Tree, res.Cost = ubTree, ubCost
-	}
+	best := inc.best
+	res.Trees = best.Trees
+	res.Stats.Solutions, res.Stats.UBUpdates = best.Solutions, best.UBUpdates
+	res.Tree, res.Cost = seed.Resolve(best.Tree, best.Cost)
 	if probe != nil {
 		// Flush the master's prune attribution (workers flushed their own
 		// in runWorker) and the terminal gap snapshot before
 		// ProblemFinish, which must stay the final event of a search.
-		bb.EmitPruneStats(probe, obs.MasterWorker, masterStats.Pruned, time.Since(start))
+		bb.EmitPruneStats(probe, obs.MasterWorker, master.Stats.Pruned, time.Since(start))
 		if sampling {
 			probe.Emit(obs.Event{Kind: obs.GapSample, Worker: obs.MasterWorker,
 				Value: res.Cost, BestLB: res.OpenLB, Gap: obs.GapRatio(res.Cost, res.OpenLB),
@@ -334,165 +220,110 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 	return res
 }
 
-// runWorker is the paper's Step 7 loop for one computing node, rebuilt on
-// the work-stealing scheduler. It reports whether it stopped early
-// (context cancelled or shared expansion budget exhausted) together with
-// the smallest lower bound among the nodes it abandoned (+Inf when none);
-// a stopped worker keeps consuming nodes without expanding them so the
-// in-flight count still reaches zero and every worker exits promptly.
+// runWorker is the paper's Step 7 loop for one computing node: the shared
+// branch-and-bound step over the work-stealing scheduler. A worker the
+// context or the shared budget stopped keeps consuming nodes without
+// expanding them, abandoning each, so the in-flight count still reaches
+// zero and every worker exits promptly.
 func runWorker(p *bb.Problem, opt Options, s *scheduler, inc *incumbent,
-	seed []*bb.PNode, stats *bb.Stats, budget *atomic.Int64, id int, start time.Time) (bool, float64) {
-	probe := opt.Probe
-	tel := &workerTel{id: id, probe: probe, start: start, stats: stats}
-	if probe != nil {
+	seed []*bb.PNode, budget *atomic.Int64, id int, start time.Time) *bb.Search {
+	np := p.NewPool()
+	search := p.NewSearch(opt.Options, inc.as(id), np, budget)
+	f := &workerFrontier{s: s, id: id, d: &s.deques[id], inc: inc, np: np,
+		collectAll: opt.CollectAll, stats: &search.Stats, epoch: inc.boundEpoch(),
+		// Victim selection is seeded deterministically per worker
+		// (splitmix64 of the id, so ids 0 and 1 do not share a sequence).
+		rng: splitmix64(uint64(id) + 1),
+		tel: &workerTel{id: id, probe: opt.Probe, start: start, stats: &search.Stats}}
+	if probe := opt.Probe; probe != nil {
 		probe.Emit(obs.Event{Kind: obs.WorkerStart, Worker: id,
 			Nodes: int64(len(seed)), Elapsed: time.Since(start)})
 		defer func() {
-			tel.flush()
+			f.tel.flush()
 			// Per-worker prune attribution, batched across the whole loop:
 			// the prune hot paths only touch plain counters.
-			bb.EmitPruneStats(probe, id, stats.Pruned, time.Since(start))
+			bb.EmitPruneStats(probe, id, search.Stats.Pruned, time.Since(start))
 			probe.Emit(obs.Event{Kind: obs.WorkerFinish, Worker: id,
-				Nodes: stats.Expanded, Elapsed: time.Since(start)})
+				Nodes: search.Stats.Expanded, Elapsed: time.Since(start)})
 		}()
 	}
-	np := p.NewPool()
-	d := &s.deques[id]
-	// Seed the deque with the master's dispatch. The list arrives sorted
-	// by ascending LB; pushing worst-first leaves the most promising node
-	// at the bottom (popped first, DFS order) and the least promising at
-	// the top (stolen first).
+	// Seed the deque with the master's dispatch (already counted
+	// in-flight). The list arrives sorted by ascending LB; pushing
+	// worst-first leaves the most promising node at the bottom (popped
+	// first, DFS order) and the least promising at the top (stolen first).
 	for i := len(seed) - 1; i >= 0; i-- {
-		s.pushLocal(id, d, seed[i])
+		s.pushLocal(id, f.d, seed[i])
 	}
-
-	// rngState seeds victim selection deterministically per worker
-	// (splitmix64 of the id, so ids 0 and 1 do not share a sequence).
-	rngState := splitmix64(uint64(id) + 1)
-	cancelled := false
-	openMin := math.Inf(1) // best LB among nodes this worker abandoned
-	ub := inc.bound()
-	epoch := inc.boundEpoch()
-	var scratch []*bb.PNode // reprune sweep buffer, allocated on first use
-	var iter int64
-	for {
-		v, ok := s.next(id, &rngState, tel)
-		if !ok {
-			if s.sampling {
-				s.publish(id, math.Inf(1), stats.Expanded)
-			}
-			return cancelled, openMin
+	search.Run(f)
+	if search.Stopped() {
+		for v, _ := f.Pop(); v != nil; v, _ = f.Pop() {
+			search.Abandon(v)
 		}
-		if s.sampling {
-			s.publish(id, v.LB, stats.Expanded)
-		}
-		// Poll the context every 64 nodes, including the very first one, so
-		// a pre-cancelled context stops the worker before any expansion.
-		if !cancelled && opt.Ctx != nil && iter&63 == 0 {
-			select {
-			case <-opt.Ctx.Done():
-				cancelled = true
-			default:
-			}
-		}
-		iter++
-		if e := inc.boundEpoch(); e != epoch {
-			// Another worker improved the shared bound: refresh the cached
-			// copy and lazily re-prune our own deque against it, off any
-			// lock — stale subproblems die here instead of being expanded.
-			epoch = e
-			ub = inc.bound()
-			scratch = s.repruneLocal(id, d, ub, opt.CollectAll, np, stats, scratch)
-		}
-		if cancelled {
-			// Drain without expanding so termination detection still
-			// reaches zero and every worker exits promptly. The node is
-			// abandoned unexplored: a budget prune, and its LB feeds the
-			// truncated result's proof floor (Result.OpenLB).
-			stats.CountBudgetPrune(1)
-			if v.LB < openMin {
-				openMin = v.LB
-			}
-			s.finish(1)
-			np.Put(v)
-			continue
-		}
-		if held := int(d.size()) + 1; held > stats.MaxPoolLen {
-			stats.MaxPoolLen = held
-		}
-		if v.LB > ub || (!opt.CollectAll && v.LB == ub) {
-			// The node was viable when it entered a deque; the incumbent
-			// improved in the meantime.
-			stats.CountIncumbentPrune(1)
-			s.finish(1)
-			np.Put(v)
-			continue
-		}
-		if v.Complete(p) {
-			stats.Completed++
-			inc.offer(p, v, opt.CollectAll, stats, id)
-			s.finish(1)
-			np.Put(v)
-			continue
-		}
-		if opt.Propagate {
-			// Propagation prune BEFORE the budget draw: a node the bound
-			// kills costs no share of the expansion budget.
-			if plb := p.PropagatedLB(v, np); plb > ub || (!opt.CollectAll && plb == ub) {
-				stats.CountUltrametricPrune(1)
-				s.finish(1)
-				np.Put(v)
-				continue
-			}
-		}
-		if budget != nil && budget.Add(-1) < 0 {
-			cancelled = true
-			stats.CountBudgetPrune(1)
-			if v.LB < openMin {
-				openMin = v.LB
-			}
-			s.finish(1)
-			np.Put(v)
-			continue
-		}
-		stats.Expanded++
-		children, pruned := p.Expand(v, opt.Constraints, ub, opt.CollectAll, np)
-		stats.CountExpand(len(children), pruned)
-		np.Put(v)
-		// Children arrive sorted by ascending LB, so the prune predicate
-		// cuts a suffix; completeness is uniform across the layer (every
-		// child holds K+1 species).
-		cut := len(children)
-		for cut > 0 {
-			lb := children[cut-1].LB
-			if lb > ub || (!opt.CollectAll && lb == ub) {
-				stats.CountIncumbentPrune(1)
-				np.Put(children[cut-1])
-				cut--
-				continue
-			}
-			break
-		}
-		if cut > 0 && children[0].Complete(p) {
-			for _, ch := range children[:cut] {
-				stats.Completed++
-				inc.offer(p, ch, opt.CollectAll, stats, id)
-				np.Put(ch)
-			}
-			cut = 0
-		}
-		if cut > 0 {
-			// Count the children in-flight BEFORE they become stealable,
-			// then push worst-first so the best child is popped next.
-			s.addInFlight(cut)
-			for i := cut - 1; i >= 0; i-- {
-				s.pushLocal(id, d, children[i])
-			}
-			s.unpark(cut)
-		}
-		s.finish(1)
 	}
+	return search
 }
+
+// workerFrontier is one worker's view of the scheduler as its search's
+// frontier: own deque bottom first, then the ring, then steals. The node
+// a worker holds stays in flight until its next Pop, after its children
+// were pushed, so termination detection never sees an empty search early.
+type workerFrontier struct {
+	s          *scheduler
+	id         int
+	d          *deque
+	rng        uint64
+	tel        *workerTel
+	inc        *incumbent
+	epoch      uint64
+	np         *bb.NodePool
+	collectAll bool
+	stats      *bb.Stats
+	scratch    []*bb.PNode // reprune sweep buffer, allocated on first use
+	held       bool
+}
+
+func (f *workerFrontier) Pop() (*bb.PNode, int) {
+	if f.held {
+		f.s.finish(1)
+		f.held = false
+	}
+	v, ok := f.s.next(f.id, &f.rng, f.tel)
+	if !ok {
+		if f.s.sampling {
+			f.s.publish(f.id, math.Inf(1), f.stats.Expanded)
+		}
+		return nil, 0
+	}
+	f.held = true
+	if f.s.sampling {
+		f.s.publish(f.id, v.LB, f.stats.Expanded)
+	}
+	if e := f.inc.boundEpoch(); e != f.epoch {
+		// Another worker improved the shared bound: lazily re-prune our
+		// own deque against it, off any lock — stale subproblems die here
+		// instead of being expanded.
+		f.epoch = e
+		f.scratch = f.s.repruneLocal(f.id, f.d, f.inc.bound(), f.collectAll, f.np, f.stats, f.scratch)
+	}
+	return v, int(f.d.size()) + 1
+}
+
+// Push counts the children in flight BEFORE they become stealable, then
+// pushes them worst-first so the best child is popped next.
+func (f *workerFrontier) Push(kids []*bb.PNode) {
+	if len(kids) == 0 {
+		return
+	}
+	f.s.addInFlight(len(kids))
+	for i := len(kids) - 1; i >= 0; i-- {
+		f.s.pushLocal(f.id, f.d, kids[i])
+	}
+	f.s.unpark(len(kids))
+}
+
+// MinLB is never sampled: the parallel engine's gap samples come from the
+// sampler goroutine, which reads the workers' published slots.
+func (f *workerFrontier) MinLB() float64 { return math.Inf(1) }
 
 // repruneLocal empties the worker's own deque into scratch, discards every
 // node the refreshed bound prunes, and pushes the survivors back in their
@@ -509,10 +340,10 @@ func (s *scheduler) repruneLocal(id int, d *deque, ub float64, collectAll bool,
 		if v == nil {
 			break
 		}
-		if v.LB > ub || (!collectAll && v.LB == ub) {
+		if bb.Prune(v.LB, ub, collectAll) {
 			// Deque residents that died to another worker's improvement:
 			// incumbent discards by definition.
-			stats.CountIncumbentPrune(1)
+			stats.Pruned.Incumbent++
 			pruned++
 			np.Put(v)
 			continue
@@ -548,32 +379,30 @@ type incumbent struct {
 	bits  atomic.Uint64 // math.Float64bits of the current upper bound
 	epoch atomic.Uint64 // bumped on every strict improvement
 
-	mu         sync.Mutex
-	ub         float64 // authoritative bound, mirrors bits (guarded by mu)
-	tree       *tree.Tree
-	trees      []*tree.Tree
-	collectAll bool
-	solutions  int64
-	updates    int64
-	probe      obs.Probe // emitted to under mu, so UB events are ordered
-	start      time.Time
+	mu   sync.Mutex
+	best *bb.Best // guarded by mu, so its UB events are ordered
 }
 
-func newIncumbent(collectAll bool) *incumbent {
-	c := &incumbent{ub: math.Inf(1), collectAll: collectAll}
-	c.bits.Store(math.Float64bits(math.Inf(1)))
+func newIncumbent(best *bb.Best) *incumbent {
+	c := &incumbent{best: best}
+	c.bits.Store(math.Float64bits(best.Cost))
 	return c
 }
 
-func (c *incumbent) seed(ub float64, t *tree.Tree) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ub = ub
-	c.bits.Store(math.Float64bits(ub))
-	c.tree = t
-	if c.collectAll && t != nil {
-		c.trees = []*tree.Tree{t}
-	}
+// as returns the incumbent as the given worker's bb.Incumbent (the
+// master is obs.MasterWorker); worker identifies the finder in telemetry.
+func (c *incumbent) as(worker int) bb.Incumbent { return workerIncumbent{c, worker} }
+
+type workerIncumbent struct {
+	c      *incumbent
+	worker int
+}
+
+func (w workerIncumbent) Bound() float64 { return w.c.bound() }
+
+func (w workerIncumbent) Offer(v *bb.PNode, st *bb.Stats) float64 {
+	w.c.offer(v, st.Expanded, w.worker)
+	return w.c.bound()
 }
 
 // bound returns the current global upper bound: one atomic load, no lock.
@@ -591,61 +420,21 @@ func (c *incumbent) boundEpoch() uint64 {
 	return c.epoch.Load()
 }
 
-// publish lowers the atomic bound to ub if it improves on it (CAS loop:
-// concurrent publishers can only tighten) and bumps the epoch.
-func (c *incumbent) publish(ub float64) {
-	bits := math.Float64bits(ub)
-	for {
-		old := c.bits.Load()
-		if math.Float64frombits(old) <= ub {
-			return
-		}
-		if c.bits.CompareAndSwap(old, bits) {
-			c.epoch.Add(1)
-			return
-		}
-	}
-}
-
-// offer records a complete topology, updating the shared bound when it is a
-// strict improvement — the "update the GUB to every node" broadcast of the
-// paper (shared memory makes the broadcast implicit). worker identifies the
-// finder for telemetry; the probe is invoked while holding the incumbent
-// lock so that UBImproved events form a strictly decreasing sequence even
-// when several workers improve the bound concurrently. Offers strictly
-// above the published bound return without touching the mutex.
-func (c *incumbent) offer(p *bb.Problem, v *bb.PNode, collectAll bool, stats *bb.Stats, worker int) {
+// offer records a complete topology, publishing the shared bound when it
+// is a strict improvement — the "update the GUB to every node" broadcast
+// of the paper (shared memory makes the broadcast implicit). Offers are
+// recorded under the mutex, so the bound only tightens and UBImproved
+// events form a strictly decreasing sequence even when several workers
+// improve the bound concurrently. Offers strictly above the published
+// bound return without touching the mutex.
+func (c *incumbent) offer(v *bb.PNode, expanded int64, worker int) {
 	if v.Cost > c.bound() {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch {
-	case v.Cost < c.ub:
-		c.ub = v.Cost
-		c.publish(v.Cost)
-		c.tree = v.Tree(p)
-		c.updates++
-		c.solutions = 1
-		if collectAll {
-			c.trees = c.trees[:0]
-			c.trees = append(c.trees, c.tree)
-		}
-		if c.probe != nil {
-			c.probe.Emit(obs.Event{Kind: obs.UBImproved, Worker: worker,
-				Value: v.Cost, Nodes: stats.Expanded, Elapsed: time.Since(c.start)})
-		}
-	case v.Cost == c.ub:
-		c.solutions++
-		if collectAll {
-			c.trees = append(c.trees, v.Tree(p))
-		}
-		if c.tree == nil {
-			c.tree = v.Tree(p)
-		}
-		if c.probe != nil {
-			c.probe.Emit(obs.Event{Kind: obs.SolutionFound, Worker: worker,
-				Value: v.Cost, Nodes: stats.Expanded, Elapsed: time.Since(c.start)})
-		}
+	if c.best.Add(v, expanded, worker) {
+		c.bits.Store(math.Float64bits(v.Cost))
+		c.epoch.Add(1)
 	}
 }

@@ -320,7 +320,7 @@ func (s *scheduler) pushLocal(self int, d *deque, v *bb.PNode) {
 // lets idle workers skip the lock when the ring is empty.
 type globalRing struct {
 	mu    sync.Mutex
-	items lbHeap
+	items bb.LBHeap
 	size  atomic.Int64
 	gets  atomic.Int64
 	puts  atomic.Int64

@@ -11,12 +11,10 @@ import (
 // reported.
 func TestCheckAccountingDetectsViolations(t *testing.T) {
 	good := bb.Stats{
-		Expanded:        5,
-		Generated:       14,
-		Roots:           1,
-		Completed:       2,
-		PrunedLB:        4,
-		PrunedIncumbent: 1,
+		Expanded:  5,
+		Generated: 14,
+		Roots:     1,
+		Completed: 2,
 		Pruned: bb.PruneStats{Bound: 3, Incumbent: 1, ThreeThree: 1,
 			Ultrametric: 1, Dominance: 2},
 	}
@@ -28,18 +26,6 @@ func TestCheckAccountingDetectsViolations(t *testing.T) {
 	identityBroken.Generated++ // one generated node never consumed
 	if fails := CheckAccounting(identityBroken); len(fails) != 1 || fails[0].Property != "prune-accounting" {
 		t.Fatalf("broken identity not flagged as prune-accounting: %v", fails)
-	}
-
-	splitBroken := good
-	splitBroken.PrunedLB++ // legacy sum drifts from the per-rule split
-	if fails := CheckAccounting(splitBroken); len(fails) != 1 || fails[0].Property != "prune-split" {
-		t.Fatalf("broken PrunedLB split not flagged: %v", fails)
-	}
-
-	mirrorBroken := good
-	mirrorBroken.PrunedIncumbent++
-	if fails := CheckAccounting(mirrorBroken); len(fails) != 1 || fails[0].Property != "prune-split" {
-		t.Fatalf("broken PrunedIncumbent mirror not flagged: %v", fails)
 	}
 
 	negativeBucket := good

@@ -105,12 +105,16 @@ func engineByName(name string) (Engine, error) {
 	// real loopback HTTP transport: an exact engine, so the differential
 	// harness proves lease dispatch, bound broadcast, and result folding
 	// preserve the optimum. distc<N> is its decompose-mode sibling (the
-	// compact-set path, checked like "compact").
+	// compact-set path, checked like "compact"); dists<N> is the farm
+	// under the strong rule set (propagation bound + dominance).
 	if w, ok := parseWorkers(name, "dist"); ok {
-		return Engine{Name: name, Exact: true, Run: distRun(name, w, false)}, nil
+		return Engine{Name: name, Exact: true, Run: distRun(name, w, false, bb.DefaultOptions())}, nil
 	}
 	if w, ok := parseWorkers(name, "distc"); ok {
-		return Engine{Name: name, Decomposition: true, Run: distRun(name, w, true)}, nil
+		return Engine{Name: name, Decomposition: true, Run: distRun(name, w, true, bb.DefaultOptions())}, nil
+	}
+	if w, ok := parseWorkers(name, "dists"); ok {
+		return Engine{Name: name, Exact: true, Run: distRun(name, w, false, bb.StrongOptions())}, nil
 	}
 	// pbbs<N> is the parallel engine with the strong rule set (propagation
 	// bound + dominance), so the differential harness proves the rules
@@ -145,11 +149,12 @@ func engineByName(name string) (Engine, error) {
 	return Engine{}, fmt.Errorf("verify: unknown engine %q (want one of %s)", name, strings.Join(EngineNames(), ","))
 }
 
-// distRun wraps the distributed farm as an engine Run func.
-func distRun(name string, workers int, decompose bool) func(*matrix.Matrix, int64, obs.Probe) (EngineResult, error) {
+// distRun wraps the distributed farm under the search options bbOpt as an
+// engine Run func.
+func distRun(name string, workers int, decompose bool, bbOpt bb.Options) func(*matrix.Matrix, int64, obs.Probe) (EngineResult, error) {
 	return func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
 		opt := dist.Options{Workers: workers, Decompose: decompose, Reduction: compact.Maximum}
-		opt.BB = bb.DefaultOptions()
+		opt.BB = bbOpt
 		opt.BB.MaxNodes = maxNodes
 		opt.BB.Probe = probe
 		res, err := dist.Solve(m, opt)
@@ -182,9 +187,9 @@ func PBBEngineName(workers int) string {
 
 // EngineNames lists the standard engine names, sorted. Any "pbb<N>"
 // (in-process parallel), "pbbs<N>" (parallel + strong rules), "dist<N>"
-// (loopback HTTP farm, exact) or "distc<N>" (farm + compact-set
-// decomposition) with N ≥ 1 is additionally accepted by ParseEngines for
-// concurrency sweeps.
+// (loopback HTTP farm, exact), "dists<N>" (farm + strong rules) or
+// "distc<N>" (farm + compact-set decomposition) with N ≥ 1 is
+// additionally accepted by ParseEngines for concurrency sweeps.
 func EngineNames() []string {
 	names := []string{"bb", "bb33", "bbprop", "bbdom", "bbrules", "bestfirst",
 		"pbb1", "pbb4", "pbb8", "pbbs4", "whole", "compact", "compact33"}

@@ -108,9 +108,7 @@ type EngineResult struct {
 //
 // i.e. every node a search created (a generated child or a seeded root)
 // was consumed exactly once — expanded, attributed to exactly one prune
-// rule, or consumed as a complete topology. It also pins the
-// compatibility contract PrunedLB == Pruned.Bound + Pruned.Incumbent.
-// The identity holds for truncated searches too (abandoned nodes count
+// rule, or consumed as a complete topology. The identity holds for truncated searches too (abandoned nodes count
 // as budget prunes), so a missed or double-counted prune site in any
 // engine shows up here differentially.
 func CheckAccounting(s bb.Stats) []Failure {
@@ -119,15 +117,6 @@ func CheckAccounting(s bb.Stats) []Failure {
 		fails = append(fails, Failure{Property: "prune-accounting", Detail: fmt.Sprintf(
 			"generated+roots = %d+%d = %d, but expanded+pruned+completed = %d+%d+%d = %d (per-rule: %+v)",
 			s.Generated, s.Roots, got, s.Expanded, s.Pruned.Total(), s.Completed, want, s.Pruned)})
-	}
-	if s.PrunedLB != s.Pruned.Bound+s.Pruned.Incumbent {
-		fails = append(fails, Failure{Property: "prune-split", Detail: fmt.Sprintf(
-			"PrunedLB %d != Pruned.Bound %d + Pruned.Incumbent %d",
-			s.PrunedLB, s.Pruned.Bound, s.Pruned.Incumbent)})
-	}
-	if s.PrunedIncumbent != s.Pruned.Incumbent {
-		fails = append(fails, Failure{Property: "prune-split", Detail: fmt.Sprintf(
-			"PrunedIncumbent %d != Pruned.Incumbent %d", s.PrunedIncumbent, s.Pruned.Incumbent)})
 	}
 	// Every attribution bucket (including the propagation/dominance rules)
 	// must be a plain count: a negative value means a double-put or a
