@@ -95,27 +95,39 @@ func TestIntrospectionNilProbeZeroAlloc(t *testing.T) {
 // solve: with the probe nil and gap sampling off, a whole sequential
 // search on a warm matrix must stay within the pre-introspection
 // allocation envelope (result + stack + pooled nodes), proving the new
-// attribution counters add no per-node allocations.
+// attribution counters add no per-node allocations. Under StrongOptions
+// the propagation and dominance layers may add only constant set-up (the
+// problem's tables and the pool's scratch), never a per-node allocation:
+// a strong solve stays within a fixed margin of the plain one.
 func TestSolveNilProbeSteadyStateAllocations(t *testing.T) {
 	m := kernelMatrix(9)
-	opt := DefaultOptions()
-	if _, err := Solve(m, opt); err != nil { // warm any lazy state
-		t.Fatal(err)
+	allocs := func(opt Options) float64 {
+		if _, err := Solve(m, opt); err != nil { // warm any lazy state
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Solve(m, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	base := testing.AllocsPerRun(20, func() {
-		if _, err := Solve(m, opt); err != nil {
-			t.Fatal(err)
-		}
-	})
-	instr := opt
-	instr.GapPeriod = time.Hour // enabled but probe is nil: must stay disabled
-	with := testing.AllocsPerRun(20, func() {
-		if _, err := Solve(m, instr); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if with > base {
-		t.Fatalf("nil-probe solve with GapPeriod set allocates %.0f objects vs %.0f baseline", with, base)
+	plain := allocs(DefaultOptions())
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{{"default", DefaultOptions()}, {"strong", StrongOptions()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := allocs(tc.opt)
+			instr := tc.opt
+			instr.GapPeriod = time.Hour // enabled but probe is nil: must stay disabled
+			if with := allocs(instr); with > base {
+				t.Fatalf("nil-probe solve with GapPeriod set allocates %.0f objects vs %.0f baseline", with, base)
+			}
+			const setUp = 16
+			if base > plain+setUp {
+				t.Fatalf("solve allocates %.0f objects vs %.0f with the rules off, want at most %d more", base, plain, setUp)
+			}
+		})
 	}
 }
 

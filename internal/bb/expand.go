@@ -83,12 +83,14 @@ func (p *Problem) Expand(v *PNode, c Constraints, ub float64, collectAll bool, n
 		}
 		return children, pruned
 	}
+	// Without a twin pair the symmetry rule cannot fire anywhere.
+	shadow := dominance && p.hasTwins
 	for pos := 0; pos < positions; pos++ {
 		if restricted && allowed[pos] == 0 {
 			pruned.ThreeThree++
 			continue
 		}
-		if dominance && pos < positions-1 {
+		if shadow && pos < positions-1 {
 			e := int32(pos)
 			if e >= v.root {
 				e++

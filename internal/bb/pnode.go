@@ -80,7 +80,7 @@ type NodePool struct {
 	free []*PNode
 	md   []float64 // Expand's per-species max-distance sweep scratch
 
-	// Propagation scratch (PropagatedLB): a second max-distance table —
+	// Propagation scratch (PropagatedLB, PropagatedPrune): a second max-distance table —
 	// separate from md so a pop-time bound never clobbers an in-progress
 	// expansion — plus the node stack and accumulated-raise stack of the
 	// top-down pass. Reused across calls so the pooled steady state

@@ -52,6 +52,11 @@ type Problem struct {
 	// species instead of next to the placed tree. The propagation bound's
 	// per-species increment is capped by it (see propagate.go).
 	followHalf []float64
+	// capOrder[k*n : k*n+n−k] lists the unplaced species k..n−1 of a
+	// k-leaf node by descending propagation cap followHalf[k][t] − δ_t
+	// (ties by index), the order PropagatedLB and PropagatedPrune try
+	// them in so that the first cap that cannot matter ends the loop.
+	capOrder []int32
 	// twinRep[s] = smallest exact twin of s (twinRep[s] == s when none):
 	// species whose distance rows agree outside the pair, computed by
 	// matrix.TwinClasses on the permuted matrix. Swapping two twins is a
@@ -61,6 +66,10 @@ type Problem struct {
 	// d(s,s') equal to s's whole-row minimum, -1 otherwise. When set, the
 	// position beside leaf s' dominates every other insertion of s.
 	twinSib []int32
+	// hasTwins records whether any twin class has two members; without
+	// one the twin symmetry rule cannot fire and Expand skips its
+	// per-position scan.
+	hasTwins bool
 }
 
 // NewProblem builds a search instance from m. When useMaxMin is true the
@@ -121,6 +130,24 @@ func NewProblem(m *matrix.Matrix, useMaxMin bool) (*Problem, error) {
 		}
 	}
 
+	// Cap order for the propagation layer: an insertion sort of each row
+	// on caps held in a stack array, so it allocates nothing beyond the
+	// table; O(n²) per row at worst and n ≤ MaxSpecies.
+	p.capOrder = make([]int32, n*n)
+	var caps [MaxSpecies]float64
+	for k := 0; k < n; k++ {
+		row := p.capOrder[k*n : (k+1)*n-k]
+		for i := range row {
+			t := int32(k + i)
+			c := p.propCap(k, t)
+			j := i
+			for ; j > 0 && caps[j-1] < c; j-- {
+				row[j], caps[j] = row[j-1], caps[j-1]
+			}
+			row[j], caps[j] = t, c
+		}
+	}
+
 	// Twin classes (in permuted space) for the dominance rules.
 	rep := pm.TwinClasses()
 	p.twinRep = make([]int32, n)
@@ -128,6 +155,9 @@ func NewProblem(m *matrix.Matrix, useMaxMin bool) (*Problem, error) {
 	for s := 0; s < n; s++ {
 		p.twinRep[s] = int32(rep[s])
 		p.twinSib[s] = -1
+		if rep[s] != s {
+			p.hasTwins = true
+		}
 	}
 	for s := 1; s < n; s++ {
 		rowMin := math.Inf(1)

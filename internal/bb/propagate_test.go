@@ -116,15 +116,7 @@ func TestPropagatedLBZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	np := p.NewPool()
-	v := p.Root()
-	for v.K < 6 {
-		children := expandAll(p, v, np)
-		next := children[0]
-		for _, ch := range children[1:] {
-			np.Put(ch)
-		}
-		v = next
-	}
+	v := bestChildDescent(p, np, 6)
 	p.PropagatedLB(v, np) // warm the scratch slices
 	allocs := testing.AllocsPerRun(200, func() {
 		p.PropagatedLB(v, np)
@@ -132,6 +124,18 @@ func TestPropagatedLBZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("PropagatedLB allocates %.0f objects on a warm pool, want 0", allocs)
 	}
+}
+
+// bestChildDescent follows the best child from the root down to a node
+// with k placed species, returning the other children to np.
+func bestChildDescent(p *Problem, np *NodePool, k int) *PNode {
+	v := p.Root()
+	for v.K < k {
+		children := expandAll(p, v, np)
+		releaseAll(np, children[1:])
+		v = children[0]
+	}
+	return v
 }
 
 // twinMatrix builds an ultrametric-ish matrix with planted exact twins:
@@ -291,5 +295,151 @@ func TestCollectAllDisablesDominance(t *testing.T) {
 	}
 	if got.Stats.Pruned.Dominance != 0 {
 		t.Fatalf("CollectAll solve recorded %d dominance prunes, want 0", got.Stats.Pruned.Dominance)
+	}
+}
+
+// referencePropagatedLB is the propagation bound computed the plain way:
+// every unplaced species' undercharge in full, no skips, no early exits.
+// PropagatedLB must return exactly this value.
+func referencePropagatedLB(p *Problem, v *PNode) float64 {
+	if v.Complete(p) {
+		return v.LB
+	}
+	md := make([]float64, v.Positions())
+	extra := 0.0
+	for t := v.K; t < p.n; t++ {
+		delta := p.tail[t] - p.tail[t+1]
+		p.maxDistSweep(v, t, md)
+		minSpend := p.followHalf[v.K*p.n+t]
+		var walk func(x int32, acc float64)
+		walk = func(x int32, acc float64) {
+			hx, half := v.height[x], md[x]/2
+			val, a := hx+acc, acc
+			if half > hx {
+				val, a = half+acc, acc+(half-hx)
+			}
+			minSpend = math.Min(minSpend, val)
+			if l := v.left[x]; l != -1 {
+				walk(l, a)
+				walk(v.right[x], a)
+			}
+		}
+		walk(v.root, 0)
+		extra = math.Max(extra, minSpend-delta)
+	}
+	return v.LB + extra
+}
+
+// checkPruneMatchesBound requires PropagatedLB(v) to equal the reference
+// bound bit for bit and PropagatedPrune to answer exactly as Prune on
+// that bound, for upper bounds at the bound, one ulp either side of it,
+// at v.LB, at +Inf and at every species' cap (where exit 1 turns), with
+// and without collectAll.
+func checkPruneMatchesBound(tb testing.TB, p *Problem, v *PNode, np *NodePool) {
+	tb.Helper()
+	b := p.PropagatedLB(v, np)
+	if ref := referencePropagatedLB(p, v); b != ref {
+		tb.Fatalf("K=%d: PropagatedLB %v, reference %v", v.K, b, ref)
+	}
+	ubs := []float64{b, math.Nextafter(b, math.Inf(1)), math.Nextafter(b, math.Inf(-1)), v.LB, math.Inf(1)}
+	for t := v.K; t < p.n; t++ {
+		if c := v.LB + p.propCap(v.K, int32(t)); !math.IsInf(c, 1) {
+			ubs = append(ubs, c, math.Nextafter(c, math.Inf(1)), math.Nextafter(c, math.Inf(-1)))
+		}
+	}
+	for _, ub := range ubs {
+		for _, all := range []bool{false, true} {
+			if got, want := p.PropagatedPrune(v, ub, all, np), Prune(b, ub, all); got != want {
+				tb.Fatalf("K=%d ub=%v collectAll=%v: PropagatedPrune %v, Prune(PropagatedLB=%v) %v",
+					v.K, ub, all, got, b, want)
+			}
+		}
+	}
+}
+
+// tieMatrix draws a small-integer matrix full of distance ties and zeros,
+// with some rows duplicating an earlier species' row.
+func tieMatrix(rng *rand.Rand, n int) *matrix.Matrix {
+	m := matrix.New(n)
+	for i := 1; i < n; i++ {
+		for j := 0; j < i; j++ {
+			m.Set(i, j, float64(rng.Intn(5)))
+		}
+	}
+	for i := 1; i < n; i++ {
+		if rng.Intn(3) == 0 {
+			src := rng.Intn(i)
+			for j := 0; j < n; j++ {
+				if j != i && j != src {
+					m.Set(i, j, m.At(src, j))
+				}
+			}
+		}
+	}
+	return m
+}
+
+// TestPropagatedPruneMatchesBound walks random BBT paths on every
+// soundness family plus tie-heavy integer matrices and checks, at every
+// node on the path and every sibling generated on the way, that the
+// yes/no prune test agrees with pruning on the full bound.
+func TestPropagatedPruneMatchesBound(t *testing.T) {
+	gens := map[string]func(rng *rand.Rand, n int) *matrix.Matrix{
+		"uniform": matrix.Random0100,
+		"metric": func(rng *rand.Rand, n int) *matrix.Matrix {
+			return matrix.RandomMetric(rng, n, 50, 100)
+		},
+		"perturbed": func(rng *rand.Rand, n int) *matrix.Matrix {
+			return matrix.PerturbedUltrametric(rng, n, 100, 0.1)
+		},
+		"ultrametric": func(rng *rand.Rand, n int) *matrix.Matrix {
+			return matrix.RandomUltrametric(rng, n, 100)
+		},
+		"ties": tieMatrix,
+	}
+	for kind, gen := range gens {
+		for _, n := range []int{5, 9, 14} {
+			for seed := int64(1); seed <= 6; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				p, err := NewProblem(gen(rng, n), true)
+				if err != nil {
+					t.Fatalf("%s n=%d seed=%d: %v", kind, n, seed, err)
+				}
+				np := p.NewPool()
+				for path := 0; path < 4; path++ {
+					v := p.Root()
+					checkPruneMatchesBound(t, p, v, np)
+					for !v.Complete(p) {
+						children, _ := p.Expand(v, Constraints{}, math.Inf(1), true, np)
+						for _, ch := range children {
+							checkPruneMatchesBound(t, p, ch, np)
+						}
+						v = children[rng.Intn(len(children))]
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPropagatedPruneZeroAlloc pins the prune test's no-allocation
+// contract: with a warm pool, answering it allocates nothing, whichever
+// exit it takes.
+func TestPropagatedPruneZeroAlloc(t *testing.T) {
+	p, err := NewProblem(kernelMatrix(12), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	np := p.NewPool()
+	v := bestChildDescent(p, np, 6)
+	b := p.PropagatedLB(v, np) // warm the scratch slices
+	ubs := []float64{b, math.Nextafter(b, math.Inf(-1)), v.LB, math.Inf(1)}
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, ub := range ubs {
+			p.PropagatedPrune(v, ub, false, np)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("PropagatedPrune allocates %.0f objects on a warm pool, want 0", allocs)
 	}
 }

@@ -184,7 +184,7 @@ func (s *Search) visit(v *PNode, open int, f Frontier) bool {
 		s.np.Put(v)
 		return true
 	}
-	if s.opt.Propagate && Prune(s.p.PropagatedLB(v, s.np), ub, s.opt.CollectAll) {
+	if s.opt.Propagate && s.p.PropagatedPrune(v, ub, s.opt.CollectAll, s.np) {
 		s.Stats.Pruned.Ultrametric++
 		s.np.Put(v)
 		return true

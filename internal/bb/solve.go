@@ -32,8 +32,9 @@ type Options struct {
 	// condition of the partial tree priced against every unplaced species
 	// — and pruned when the propagated floor crosses the incumbent where
 	// the plain tail bound did not. Exactness-preserving on any metric;
-	// costs O((n−K)·K) per pop and pays for itself by skipping whole
-	// expansions (the Pruned.Ultrametric bucket measures it per run).
+	// the yes/no test (PropagatedPrune) costs at most O((n−K)·K) per pop,
+	// usually far less, and pays for itself by skipping whole expansions
+	// (the Pruned.Ultrametric bucket measures it per run).
 	Propagate bool
 	// CollectAll retains every optimal tree instead of just one (Step 7 of
 	// the parallel algorithm gathers all solutions).
