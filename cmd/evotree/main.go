@@ -224,7 +224,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 		return printResult(stdout, m, res.Tree, res.Cost, res.Optimal, res.Stats, nil, *quiet, *showStats, *showSets, *ascii)
 	case "pbb":
-		res, err := pbb.Solve(m, pbb.Options{Options: bbOpt, Workers: *workers, InitialFanout: 2})
+		res, err := pbb.Solve(m, pbb.Options{Options: bbOpt, Workers: *workers})
 		if err != nil {
 			return err
 		}

@@ -56,7 +56,7 @@ func main() {
 			t1 = res.Makespan
 		}
 		fmt.Printf("%8d %14.1f %12d %10d %11.0f%%\n",
-			nodes, res.Makespan, res.Expanded, res.Messages, 100*res.Efficiency(nodes))
+			nodes, res.Makespan, res.Stats.Expanded, res.Messages, 100*res.Efficiency(nodes))
 	}
 	s, _, par, err := cluster.Speedup(m, cluster.ClusterConfig(16), 16)
 	if err != nil {

@@ -11,11 +11,9 @@
 // species is inserted.
 //
 // The branch-and-bound step itself exists once, as Search: the sequential
-// and best-first engines here, the parallel engine (internal/pbb) and the
-// distributed farm (internal/dist) run it over their own frontiers. The
-// package also exposes the search tree (Problem / PNode / Expand) so the
-// cluster simulator (internal/cluster) can replay the search on its
-// virtual clock.
+// and best-first engines here, the parallel engine (internal/pbb), the
+// distributed farm (internal/dist) and the cluster simulator
+// (internal/cluster) run it over their own frontiers.
 package bb
 
 import (

@@ -140,12 +140,19 @@ func (s *Search) Abandon(nodes ...*PNode) {
 
 // Run visits nodes popped from f until f runs dry or the search stops.
 func (s *Search) Run(f Frontier) {
-	for !s.stopped {
-		v, open := f.Pop()
-		if v == nil || !s.visit(v, open, f) {
-			return
-		}
+	for s.Step(f) {
 	}
+}
+
+// Step visits one node popped from f and reports whether the search can
+// go on: false once f runs dry or the search has stopped. An engine that
+// interleaves several searches on one thread advances each by Step.
+func (s *Search) Step(f Frontier) bool {
+	if s.stopped {
+		return false
+	}
+	v, open := f.Pop()
+	return v != nil && s.visit(v, open, f)
 }
 
 // visit is the branch-and-bound step on one popped node. It reports false
@@ -235,6 +242,12 @@ func (s *Search) triage(kids []*PNode, ub float64) []*PNode {
 	}
 	return nil
 }
+
+// Fanout is how many open nodes per worker the master phase of the
+// parallel engines slices off before dispatch: the paper's "2 times of
+// total nodes in the computing environment". Slice callers pass
+// Fanout × workers.
+const Fanout = 2
 
 // Slice is the master phase of the parallel and distributed engines
 // (Steps 1–5 of the parallel algorithm): breadth-first branching from the

@@ -2,9 +2,14 @@
 // cluster the papers evaluated on (one master, N slave computing nodes on
 // 100 Mbps Ethernet) and of the UniGrid platform of the project's grid
 // report. It replays the exact master/worker branch-and-bound protocol of
-// internal/pbb under a virtual clock:
+// internal/pbb under a virtual clock. The master and every slave run the
+// shared branch-and-bound step, bb.Search; each slave is the frontier and
+// the incumbent of its own search, so only time and messages are modelled
+// here:
 //
-//   - expanding one BBT node costs Config.TBranch time units on a slave;
+//   - expanding one BBT node costs Config.TBranch time units (the master
+//     runs at nominal speed, slave i at Config.Speeds[i]); a node the
+//     bounds prune costs nothing;
 //   - every message (global-upper-bound broadcast, pool transfer) costs
 //     Config.Latency plus size·Config.PerByte;
 //   - an upper bound found by one node becomes visible to the others only
@@ -22,7 +27,8 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"time"
 
 	"evotree/internal/bb"
 	"evotree/internal/matrix"
@@ -39,24 +45,21 @@ type Config struct {
 	// PerByte is the transfer cost per subproblem species (models message
 	// size growing with the partial topology).
 	PerByte float64
-	// InitialFanout × Nodes is the master's pre-dispatch frontier size.
-	InitialFanout int
 	// DisableGlobalPool turns off the two-level load balancer: nodes never
 	// donate to or pull from the global pool after the initial dispatch.
 	// Used by the ablation experiments to measure what the paper's
 	// global/local pool design buys.
 	DisableGlobalPool bool
-	// MaxExpansions aborts the simulated search after this many node
-	// expansions when positive; Result.Capped reports the cut. A safety
-	// valve for large sweeps.
-	MaxExpansions int64
 	// Speeds optionally gives per-node relative speeds (1.0 = nominal):
 	// node i expands a BBT node in TBranch/Speeds[i] time units. Missing
 	// or non-positive entries default to 1. Models the heterogeneous
 	// hardware of the grid report (the UniGrid nodes were slower than the
 	// lab cluster).
 	Speeds []float64
-	// BB carries the search options (max–min, 3-3, ...).
+	// BB carries the search options. They apply as in bb.Solve, except
+	// that MaxNodes is one expansion budget shared by the master and every
+	// slave, and that CollectAll is rejected: Result carries no trees. A
+	// run cut short by MaxNodes or Ctx reports Result.Capped.
 	BB bb.Options
 }
 
@@ -64,12 +67,11 @@ type Config struct {
 // cheap relative to branching.
 func ClusterConfig(nodes int) Config {
 	return Config{
-		Nodes:         nodes,
-		TBranch:       1.0,
-		Latency:       0.2,
-		PerByte:       0.01,
-		InitialFanout: 2,
-		BB:            bb.DefaultOptions(),
+		Nodes:   nodes,
+		TBranch: 1.0,
+		Latency: 0.2,
+		PerByte: 0.01,
+		BB:      bb.DefaultOptions(),
 	}
 }
 
@@ -95,18 +97,18 @@ func GridConfig(nodes int) Config {
 
 // Result reports one simulated run.
 type Result struct {
-	// Cost is the best tree cost found. For uncapped runs it equals the
-	// sequential optimum (the model replays an exact search); for capped
-	// runs it is only the incumbent at the cut.
+	// Cost is the best tree cost found: bb.Solve's cost under the same
+	// options for uncapped runs; for capped runs only the incumbent at the
+	// cut.
 	Cost     float64
 	Makespan float64 // virtual completion time (master + slowest slave)
 	// MasterTime is the virtual time the master spent building and
 	// dispatching the initial frontier; slaves start after it.
 	MasterTime float64
-	// Capped reports that MaxExpansions cut the search short; Cost is then
-	// the best bound found rather than the proven optimum.
+	// Capped reports that BB.MaxNodes or BB.Ctx cut the search short;
+	// Cost is then the best bound found rather than the proven optimum.
 	Capped     bool
-	Expanded   int64     // BBT nodes expanded across all slaves (and master)
+	Stats      bb.Stats  // the master's and every slave's search, summed
 	Messages   int64     // UB broadcasts + pool transfers
 	BytesMoved float64   // weighted message volume
 	NodeBusy   []float64 // per-slave busy time (load-balance visibility)
@@ -130,222 +132,177 @@ type ubEvent struct {
 	ub float64
 }
 
-// simWorker is one slave computing node of the model.
-type simWorker struct {
+// machine is the state the slaves share: the global pool, the broadcasts
+// in flight, the incumbent record and the message counters.
+type machine struct {
+	cfg    Config
+	pool   []*bb.PNode // the global pool
+	events []ubEvent
+	best   *bb.Best
+	res    *Result
+}
+
+// slave is one slave computing node of the model: the Frontier and the
+// Incumbent of its own bb.Search, on its own virtual clock.
+type slave struct {
+	*machine
+	id     int
+	search *bb.Search
+	local  bb.Stack
 	clock  float64
 	busy   float64
-	speed  float64     // relative speed; expansion costs TBranch/speed
-	local  []*bb.PNode // sorted: best (lowest LB) at the tail
-	lastUB float64     // the node's own best-known bound (own finds apply instantly)
+	step   float64 // TBranch/speed: the virtual cost of one expansion
+	own    float64 // the node's own best find (visible to it at once)
+}
+
+func (w *slave) Pop() (*bb.PNode, int) { return w.local.Pop() }
+func (w *slave) MinLB() float64        { return w.local.MinLB() }
+
+// Push charges the expansion that produced kids to the slave's clock and,
+// when the global pool has run empty, donates the slave's oldest open node
+// to it (an asynchronous send).
+func (w *slave) Push(kids []*bb.PNode) {
+	w.clock += w.step
+	w.busy += w.step
+	w.local.Push(kids)
+	if !w.cfg.DisableGlobalPool && len(w.pool) == 0 && len(w.local) > 1 {
+		d := w.local[0]
+		w.local = w.local[1:]
+		w.pool = append(w.pool, d)
+		w.res.Messages++
+		w.res.BytesMoved += float64(d.K)
+	}
+}
+
+// Bound is the incumbent visible at the slave's clock: its own finds, and
+// the other nodes' finds whose broadcast has arrived.
+func (w *slave) Bound() float64 {
+	ub := w.own
+	for _, e := range w.events {
+		if e.t <= w.clock && e.ub < ub {
+			ub = e.ub
+		}
+	}
+	return ub
+}
+
+// Offer broadcasts a find to every other node. It is made during an
+// expansion, so it arrives Latency after the expansion ends.
+func (w *slave) Offer(v *bb.PNode, st *bb.Stats) float64 {
+	w.own = v.Cost
+	w.events = append(w.events, ubEvent{t: w.clock + w.step + w.cfg.Latency, ub: v.Cost})
+	w.res.Messages += int64(w.cfg.Nodes - 1)
+	w.best.Add(v, st.Expanded, w.id)
+	return w.Bound()
+}
+
+// pull moves the most promising pooled node into the slave's local pool
+// (two messages: request + reply).
+func (w *slave) pull() {
+	bi := 0
+	for i, v := range w.pool {
+		if v.LB < w.pool[bi].LB {
+			bi = i
+		}
+	}
+	v := w.pool[bi]
+	w.pool[bi] = w.pool[len(w.pool)-1]
+	w.pool = w.pool[:len(w.pool)-1]
+	w.local = append(w.local, v)
+	w.clock += 2*w.cfg.Latency + w.cfg.PerByte*float64(v.K)
+	w.res.Messages += 2
+	w.res.BytesMoved += float64(v.K)
 }
 
 // Simulate runs the virtual cluster on m and returns the makespan. The
-// search itself is exact: the returned Cost always equals the sequential
-// optimum.
+// search itself is exact: an uncapped run's Cost equals bb.Solve's under
+// the same options. Simulate rejects a config Validate rejects.
 func Simulate(m *matrix.Matrix, cfg Config) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	p, err := bb.NewProblem(m, cfg.BB.UseMaxMin)
 	if err != nil {
 		return nil, err
 	}
-	return SimulateProblem(p, cfg), nil
-}
-
-// SimulateProblem runs the model on an existing problem instance.
-func SimulateProblem(p *bb.Problem, cfg Config) *Result {
-	if cfg.Nodes < 1 {
-		cfg.Nodes = 1
-	}
-	if cfg.InitialFanout < 1 {
-		cfg.InitialFanout = 2
-	}
-	if cfg.TBranch <= 0 {
-		cfg.TBranch = 1
-	}
-	res := &Result{NodeBusy: make([]float64, cfg.Nodes)}
+	opt, start := cfg.BB, time.Now()
+	seed := p.SeedIncumbent(opt, start)
+	mc := &machine{cfg: cfg, best: p.NewBest(seed, opt, start),
+		res: &Result{NodeBusy: make([]float64, cfg.Nodes)}}
+	res, np, budget := mc.res, p.NewPool(), bb.NewBudget(opt.MaxNodes)
 
 	// ---- master phase ----
-	_, ub := p.InitialUpperBound()
-	if cfg.BB.InitialUB > 0 && cfg.BB.InitialUB < ub {
-		ub = cfg.BB.InitialUB
-	}
-	best := ub
-	var masterTime float64
-	target := cfg.InitialFanout * cfg.Nodes
-	frontier := []*bb.PNode{p.Root()}
-	for len(frontier) > 0 && len(frontier) < target {
-		v := frontier[0]
-		frontier = frontier[1:]
-		masterTime += cfg.TBranch
-		res.Expanded++
-		if v.Complete(p) {
-			if v.Cost < best {
-				best = v.Cost
-			}
-			continue
-		}
-		children, _ := p.Expand(v, cfg.BB.Constraints, best, false, nil)
-		for _, ch := range children {
-			switch {
-			case ch.LB >= best:
-				// pruned at generation time
-			case ch.Complete(p):
-				if ch.Cost < best {
-					best = ch.Cost
-				}
-			default:
-				frontier = append(frontier, ch)
-			}
-		}
-	}
-	sort.SliceStable(frontier, func(i, j int) bool { return frontier[i].LB < frontier[j].LB })
-	res.MasterTime = masterTime
+	master := p.NewSearch(opt, mc.best, np, budget)
+	frontier := master.Slice(bb.Fanout * cfg.Nodes)
+	res.MasterTime = float64(master.Stats.Expanded) * cfg.TBranch
 
 	// ---- dispatch (cyclic, one message per subproblem) ----
-	workers := make([]*simWorker, cfg.Nodes)
-	for i := range workers {
+	slaves := make([]*slave, cfg.Nodes)
+	for i := range slaves {
 		speed := 1.0
 		if i < len(cfg.Speeds) && cfg.Speeds[i] > 0 {
 			speed = cfg.Speeds[i]
 		}
-		workers[i] = &simWorker{clock: masterTime, speed: speed, lastUB: best}
+		w := &slave{machine: mc, id: i, clock: res.MasterTime,
+			step: cfg.TBranch / speed, own: mc.best.Cost}
+		w.search = p.NewSearch(opt, w, np, budget)
+		w.search.WorstFirst = true
+		slaves[i] = w
 	}
-	var gp []*bb.PNode
 	slots := cfg.Nodes + 1
 	if cfg.DisableGlobalPool {
 		slots = cfg.Nodes // no pool share without load balancing
 	}
 	for i, v := range frontier {
-		slot := i % slots
-		cost := cfg.Latency + cfg.PerByte*float64(v.K)
 		res.Messages++
 		res.BytesMoved += float64(v.K)
-		if slot == cfg.Nodes {
-			gp = append(gp, v)
+		if i%slots == cfg.Nodes {
+			mc.pool = append(mc.pool, v)
 			continue
 		}
-		w := workers[slot]
+		w := slaves[i%slots]
 		w.local = append(w.local, v)
-		if t := masterTime + cost; t > w.clock {
-			w.clock = t
-		}
+		w.clock = math.Max(w.clock, res.MasterTime+cfg.Latency+cfg.PerByte*float64(v.K))
 	}
-	for i := range workers {
-		sortDescLB(workers[i].local)
+	for _, w := range slaves {
+		slices.Reverse(w.local) // the frontier is ascending by LB: best on top
 	}
 
-	var events []ubEvent // sorted by time
-
-	visibleUB := func(w *simWorker) float64 {
-		ub := w.lastUB
-		for _, e := range events {
-			if e.t <= w.clock && e.ub < ub {
-				ub = e.ub
-			}
-		}
-		return ub
-	}
-
-	// ---- event loop ----
-	for {
-		// Choose the earliest-clock worker that can make progress.
-		wi := -1
-		for i, w := range workers {
-			if len(w.local) == 0 && (len(gp) == 0 || cfg.DisableGlobalPool) {
+	// ---- event loop: advance the earliest-clock slave that has work ----
+	res.Capped = master.Stopped()
+	for !res.Capped {
+		var w *slave
+		for _, x := range slaves {
+			if len(x.local) == 0 && (len(mc.pool) == 0 || cfg.DisableGlobalPool) {
 				continue
 			}
-			if wi == -1 || w.clock < workers[wi].clock {
-				wi = i
+			if w == nil || x.clock < w.clock {
+				w = x
 			}
 		}
-		if wi == -1 {
+		if w == nil {
 			break
 		}
-		if cfg.MaxExpansions > 0 && res.Expanded >= cfg.MaxExpansions {
-			res.Capped = true
-			break
-		}
-		w := workers[wi]
 		if len(w.local) == 0 {
-			// Pull the most promising pooled subproblem (two messages:
-			// request + reply).
-			bi := 0
-			for i, v := range gp {
-				if v.LB < gp[bi].LB {
-					bi = i
-				}
-			}
-			v := gp[bi]
-			gp[bi] = gp[len(gp)-1]
-			gp = gp[:len(gp)-1]
-			w.local = append(w.local, v)
-			w.clock += 2*cfg.Latency + cfg.PerByte*float64(v.K)
-			res.Messages += 2
-			res.BytesMoved += float64(v.K)
+			w.pull()
 			continue
 		}
-		v := w.local[len(w.local)-1]
-		w.local = w.local[:len(w.local)-1]
-		ub := visibleUB(w)
-		if v.LB >= ub {
-			continue // pruning costs no branching time
-		}
-		step := cfg.TBranch / w.speed
-		w.clock += step
-		w.busy += step
-		res.Expanded++
-		if v.Complete(p) {
-			if v.Cost < ub {
-				w.lastUB = v.Cost
-				events = append(events, ubEvent{t: w.clock + cfg.Latency, ub: v.Cost})
-				res.Messages += int64(cfg.Nodes - 1)
-				if v.Cost < best {
-					best = v.Cost
-				}
-			}
-			continue
-		}
-		children, _ := p.Expand(v, cfg.BB.Constraints, ub, false, nil)
-		// Children arrive sorted ascending by LB; append in reverse so the
-		// most promising child sits at the tail (popped next by the DFS),
-		// matching the real engine's stack discipline.
-		for i := len(children) - 1; i >= 0; i-- {
-			ch := children[i]
-			switch {
-			case ch.LB >= visibleUB(w):
-				// pruned
-			case ch.Complete(p):
-				if ch.Cost < visibleUB(w) {
-					w.lastUB = ch.Cost
-					events = append(events, ubEvent{t: w.clock + cfg.Latency, ub: ch.Cost})
-					res.Messages += int64(cfg.Nodes - 1)
-					if ch.Cost < best {
-						best = ch.Cost
-					}
-				}
-			default:
-				w.local = append(w.local, ch)
-			}
-		}
-		// Donate to the empty global pool (asynchronous send).
-		if !cfg.DisableGlobalPool && len(gp) == 0 && len(w.local) > 1 {
-			d := w.local[0]
-			w.local = w.local[1:]
-			gp = append(gp, d)
-			res.Messages++
-			res.BytesMoved += float64(d.K)
-		}
+		res.Capped = !w.search.Step(w)
 	}
 
-	res.Cost = best
-	makespan := masterTime
-	for i, w := range workers {
+	// Nodes still open were cut off by the budget or the context; a
+	// complete run leaves none.
+	master.Abandon(mc.pool...)
+	res.Stats = master.Stats
+	for i, w := range slaves {
+		w.search.Abandon(w.local...)
+		res.Stats.Add(w.search.Stats)
 		res.NodeBusy[i] = w.busy
-		if w.clock > makespan {
-			makespan = w.clock
-		}
+		res.Makespan = math.Max(res.Makespan, w.clock) // clocks start at MasterTime
 	}
-	res.Makespan = makespan
-	return res
+	res.Stats.Solutions, res.Stats.UBUpdates = mc.best.Solutions, mc.best.UBUpdates
+	_, res.Cost = seed.Resolve(mc.best.Tree, mc.best.Cost)
+	return res, nil
 }
 
 // Speedup runs the simulation with 1 and with nodes slaves and returns
@@ -369,20 +326,22 @@ func Speedup(m *matrix.Matrix, cfg Config, nodes int) (float64, *Result, *Result
 	return seq.Makespan / par.Makespan, seq, par, nil
 }
 
-// Validate sanity-checks a configuration.
+// Validate sanity-checks a configuration; Simulate runs it first.
 func (cfg Config) Validate() error {
 	if cfg.Nodes < 1 {
 		return fmt.Errorf("cluster: need at least 1 node")
 	}
-	if cfg.TBranch < 0 || cfg.Latency < 0 || cfg.PerByte < 0 {
+	if !(cfg.TBranch > 0) {
+		return fmt.Errorf("cluster: TBranch must be positive, got %g", cfg.TBranch)
+	}
+	if cfg.Latency < 0 || cfg.PerByte < 0 {
 		return fmt.Errorf("cluster: negative cost parameter")
 	}
-	if math.IsNaN(cfg.TBranch + cfg.Latency + cfg.PerByte) {
+	if math.IsNaN(cfg.Latency + cfg.PerByte) {
 		return fmt.Errorf("cluster: NaN cost parameter")
 	}
+	if cfg.BB.CollectAll {
+		return fmt.Errorf("cluster: CollectAll is not supported: Result carries no trees")
+	}
 	return nil
-}
-
-func sortDescLB(nodes []*bb.PNode) {
-	sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].LB > nodes[j].LB })
 }

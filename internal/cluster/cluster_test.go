@@ -1,33 +1,83 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"evotree/internal/bb"
 	"evotree/internal/matrix"
+	"evotree/internal/verify"
 )
 
 func TestSimulationMatchesExactCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
+	noSeed := bb.DefaultOptions()
+	noSeed.NoInitialUB = true
 	for trial := 0; trial < 8; trial++ {
 		n := 6 + rng.Intn(4)
 		m := matrix.RandomMetric(rng, n, 50, 100)
-		seq, err := bb.Solve(m, bb.DefaultOptions())
+		opt, err := bb.Solve(m, bb.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, nodes := range []int{1, 4, 16} {
-			res, err := Simulate(m, ClusterConfig(nodes))
+		// An external bound at the optimum prunes every optimal tree (ties
+		// prune), so both sides fall back to the UPGMM tree's cost.
+		atOpt := bb.DefaultOptions()
+		atOpt.InitialUB = opt.Cost
+		for name, o := range map[string]bb.Options{
+			"default": bb.DefaultOptions(), "strong": bb.StrongOptions(),
+			"noInitialUB": noSeed, "initialUB": atOpt,
+		} {
+			seq, err := bb.Solve(m, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(res.Cost-seq.Cost) > 1e-9 {
-				t.Fatalf("trial %d nodes %d: simulated cost %g, exact %g",
-					trial, nodes, res.Cost, seq.Cost)
+			for _, cfg := range []Config{ClusterConfig(1), ClusterConfig(4), ClusterConfig(16), GridConfig(16)} {
+				cfg.BB = o
+				res, err := Simulate(m, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Cost != seq.Cost || res.Capped {
+					t.Fatalf("trial %d %s nodes %d: simulated cost %g (capped %v), bb.Solve %g",
+						trial, name, cfg.Nodes, res.Cost, res.Capped, seq.Cost)
+				}
 			}
 		}
+	}
+}
+
+func TestSimulationAccounting(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	m := matrix.Random0100(rng, 12)
+	for _, maxNodes := range []int64{0, 5, 40} {
+		for _, cfg := range []Config{ClusterConfig(1), ClusterConfig(16), GridConfig(16)} {
+			cfg.BB.MaxNodes = maxNodes
+			res, err := Simulate(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fails := verify.CheckAccounting(res.Stats); len(fails) > 0 {
+				t.Fatalf("MaxNodes %d nodes %d: %v", maxNodes, cfg.Nodes, fails)
+			}
+			if res.Capped != (maxNodes > 0) || res.Capped != (res.Stats.Pruned.Budget > 0) {
+				t.Fatalf("MaxNodes %d nodes %d: capped %v with %d budget prunes",
+					maxNodes, cfg.Nodes, res.Capped, res.Stats.Pruned.Budget)
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := ClusterConfig(4)
+	cfg.BB.Ctx = ctx
+	res, err := Simulate(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fails := verify.CheckAccounting(res.Stats); !res.Capped || len(fails) > 0 {
+		t.Fatalf("cancelled run: capped %v, accounting %v", res.Capped, fails)
 	}
 }
 
@@ -42,7 +92,7 @@ func TestSimulationIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Makespan != b.Makespan || a.Expanded != b.Expanded || a.Messages != b.Messages {
+	if a.Makespan != b.Makespan || a.Stats != b.Stats || a.Messages != b.Messages {
 		t.Fatalf("simulation not deterministic: %+v vs %+v", a, b)
 	}
 }
@@ -58,7 +108,7 @@ func TestSingleNodeMakespanTracksExpansions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := float64(res.Expanded) * cfg.TBranch; math.Abs(res.Makespan-want) > 1e-6 {
+	if want := float64(res.Stats.Expanded) * cfg.TBranch; math.Abs(res.Makespan-want) > 1e-6 {
 		t.Fatalf("makespan %g, want expansions×TBranch = %g", res.Makespan, want)
 	}
 }
@@ -151,15 +201,24 @@ func TestConfigValidate(t *testing.T) {
 	if err := ClusterConfig(16).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := ClusterConfig(0)
-	bad.Nodes = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("want error for zero nodes")
-	}
-	neg := ClusterConfig(2)
-	neg.Latency = -1
-	if err := neg.Validate(); err == nil {
-		t.Fatal("want error for negative latency")
+	m := matrix.RandomMetric(rand.New(rand.NewSource(49)), 6, 50, 100)
+	for name, edit := range map[string]func(*Config){
+		"zero nodes":       func(c *Config) { c.Nodes = 0 },
+		"negative latency": func(c *Config) { c.Latency = -1 },
+		"negative perByte": func(c *Config) { c.PerByte = -1 },
+		"zero TBranch":     func(c *Config) { c.TBranch = 0 },
+		"NaN TBranch":      func(c *Config) { c.TBranch = math.NaN() },
+		"NaN latency":      func(c *Config) { c.Latency = math.NaN() },
+		"collectAll":       func(c *Config) { c.BB.CollectAll = true },
+	} {
+		bad := ClusterConfig(2)
+		edit(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+		if res, err := Simulate(m, bad); err == nil {
+			t.Errorf("%s: Simulate accepted it (makespan %g)", name, res.Makespan)
+		}
 	}
 }
 
@@ -167,7 +226,7 @@ func TestMaxExpansionsCapsSimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	m := matrix.Random0100(rng, 14)
 	cfg := ClusterConfig(4)
-	cfg.MaxExpansions = 20
+	cfg.BB.MaxNodes = 20
 	res, err := Simulate(m, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +234,8 @@ func TestMaxExpansionsCapsSimulation(t *testing.T) {
 	if !res.Capped {
 		t.Fatal("hard instance within 20 expansions must report Capped")
 	}
-	if res.Expanded > 25 {
-		t.Fatalf("expanded %d far beyond the cap", res.Expanded)
+	if res.Stats.Expanded != 20 {
+		t.Fatalf("expanded %d, want the whole budget of 20", res.Stats.Expanded)
 	}
 	if res.Cost <= 0 {
 		t.Fatal("capped run must still carry the incumbent cost")

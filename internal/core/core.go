@@ -122,7 +122,7 @@ func constructWhole(m *matrix.Matrix, opt Options) (*Result, error) {
 		t.SetNames(m.Names())
 		return &Result{Tree: t, Optimal: true}, nil
 	}
-	pres, err := pbb.Solve(m, pbb.Options{Options: opt.BB, Workers: opt.Workers, InitialFanout: 2})
+	pres, err := pbb.Solve(m, pbb.Options{Options: opt.BB, Workers: opt.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -209,9 +209,7 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 			// (at least one), so concurrent subproblems share the worker
 			// budget instead of multiplying it.
 			grant := sem.acquireUpTo(opt.Workers)
-			pres, err := pbb.Solve(small, pbb.Options{
-				Options: opt.BB, Workers: grant, InitialFanout: 2,
-			})
+			pres, err := pbb.Solve(small, pbb.Options{Options: opt.BB, Workers: grant})
 			sem.release(grant)
 			if err != nil {
 				recordErr(&mu, &firstErr, err)

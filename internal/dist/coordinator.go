@@ -24,13 +24,10 @@ import (
 // Options configure a coordinator (and, through Solve, its loopback
 // farm).
 type Options struct {
-	// Workers sizes the loopback farm Solve launches and, with Fanout,
-	// the frontier target the coordinator slices per matrix. At least 1.
+	// Workers sizes the loopback farm Solve launches and the frontier
+	// target the coordinator slices per matrix, bb.Fanout units per
+	// worker. At least 1.
 	Workers int
-	// Fanout is how many units per worker the coordinator slices off
-	// each matrix's branch-and-bound pool before serving — the paper's
-	// "2 times of total nodes in the computing environment". Default 2.
-	Fanout int
 	// Decompose runs the compact-set decomposition and farms out one
 	// search per internal hierarchy node (the paper's condition 1);
 	// false farms frontier batches of the whole-matrix search (exact).
@@ -60,9 +57,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
 		o.Workers = 1
-	}
-	if o.Fanout < 1 {
-		o.Fanout = 2
 	}
 	if o.Reduction == 0 {
 		o.Reduction = compact.Maximum
@@ -184,7 +178,7 @@ type Coordinator struct {
 
 // NewCoordinator decomposes m into work units according to opt and
 // returns a coordinator ready to serve workers. The master slicing runs
-// synchronously here (bounded: Fanout×Workers nodes per matrix).
+// synchronously here (bounded: bb.Fanout×Workers nodes per matrix).
 func NewCoordinator(m *matrix.Matrix, opt Options) (*Coordinator, error) {
 	if opt.BB.CollectAll || opt.BB.InitialUB != 0 || opt.BB.NoInitialUB {
 		return nil, fmt.Errorf("dist: CollectAll, InitialUB and NoInitialUB are not supported by the farm")
@@ -277,12 +271,8 @@ func (c *Coordinator) addMatrix(m *matrix.Matrix) (*coordMatrix, error) {
 // farm-wide expansion budget; when the budget or the context stops it,
 // the farm is truncated and the matrix gets no units.
 func (c *Coordinator) slice(cm *coordMatrix) {
-	target := c.opt.Fanout * c.opt.Workers
-	if target < 2 {
-		target = 2
-	}
 	s := cm.p.NewSearch(c.opt.BB, masterIncumbent{c, cm}, cm.np, c.budget)
-	frontier := s.Slice(target)
+	frontier := s.Slice(bb.Fanout * c.opt.Workers)
 	c.masterStats.Add(s.Stats)
 	if s.Stopped() {
 		c.truncated = true

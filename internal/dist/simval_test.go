@@ -81,8 +81,8 @@ func TestSimulatorValidation(t *testing.T) {
 			name      string
 			sim, farm int64
 		}{
-			{"sequential", simSeq.Expanded, farm1.Stats.Expanded},
-			{"parallel", simPar.Expanded, farmN.Stats.Expanded},
+			{"sequential", simSeq.Stats.Expanded, farm1.Stats.Expanded},
+			{"parallel", simPar.Stats.Expanded, farmN.Stats.Expanded},
 		} {
 			if pair.sim == 0 || pair.farm == 0 {
 				continue
@@ -104,6 +104,6 @@ func TestSimulatorValidation(t *testing.T) {
 		}
 		t.Logf("seed %d: cost %v, speedup measured %.2f vs predicted %.2f, expansions farm %d/%d vs model %d/%d",
 			seed, farmN.Cost, measured, predicted,
-			farm1.Stats.Expanded, farmN.Stats.Expanded, simSeq.Expanded, simPar.Expanded)
+			farm1.Stats.Expanded, farmN.Stats.Expanded, simSeq.Stats.Expanded, simPar.Stats.Expanded)
 	}
 }

@@ -114,7 +114,7 @@ func runAblationPool(cfg Config) (*Figure, error) {
 		for r := 0; r < reps; r++ {
 			m := hmdnaHard(rng, n)
 			on := cluster.ClusterConfig(16)
-			on.MaxExpansions = parCap(cfg)
+			on.BB.MaxNodes = parCap(cfg)
 			off := on
 			off.DisableGlobalPool = true
 			r1, err := cluster.Simulate(m, on)

@@ -138,8 +138,8 @@ func runDistValidation(cfg Config) (*Figure, error) {
 		e := distEntry{
 			N: in.n, Seed: in.seed, Workers: workers,
 			Cost:             farmPar.Cost,
-			SimSeqExpanded:   simSeq.Expanded,
-			SimParExpanded:   simPar.Expanded,
+			SimSeqExpanded:   simSeq.Stats.Expanded,
+			SimParExpanded:   simPar.Stats.Expanded,
 			FarmSeqExpanded:  farmSeq.Stats.Expanded,
 			FarmParExpanded:  farmPar.Stats.Expanded,
 			PredictedSpeedup: predicted,
@@ -155,7 +155,7 @@ func runDistValidation(cfg Config) (*Figure, error) {
 		fig.X = append(fig.X, float64(i+1))
 		fig.AddPoint("predicted", predicted)
 		fig.AddPoint("measured", measured)
-		fig.AddPoint("model expansions", float64(simPar.Expanded))
+		fig.AddPoint("model expansions", float64(simPar.Stats.Expanded))
 		fig.AddPoint("farm expansions", float64(farmPar.Stats.Expanded))
 
 		// The gates.
@@ -171,8 +171,8 @@ func runDistValidation(cfg Config) (*Figure, error) {
 			name      string
 			sim, farm int64
 		}{
-			{"sequential", simSeq.Expanded, farmSeq.Stats.Expanded},
-			{"parallel", simPar.Expanded, farmPar.Stats.Expanded},
+			{"sequential", simSeq.Stats.Expanded, farmSeq.Stats.Expanded},
+			{"parallel", simPar.Stats.Expanded, farmPar.Stats.Expanded},
 		} {
 			if pair.sim == 0 || pair.farm == 0 {
 				continue
@@ -190,7 +190,7 @@ func runDistValidation(cfg Config) (*Figure, error) {
 		}
 		fig.Note("n=%d seed=%d: cost %.4g, speedup measured %.2f vs predicted %.2f, expansions farm %d/%d vs model %d/%d, requeues %d, stale %d",
 			in.n, in.seed, farmPar.Cost, measured, predicted,
-			farmSeq.Stats.Expanded, farmPar.Stats.Expanded, simSeq.Expanded, simPar.Expanded,
+			farmSeq.Stats.Expanded, farmPar.Stats.Expanded, simSeq.Stats.Expanded, simPar.Stats.Expanded,
 			farmPar.Farm.Requeues, farmPar.Farm.Stale)
 	}
 	fig.Note("tolerances: costs exact, expansions within %gx, speedup within %gx", distExpandFactor, distSpeedupFactor)

@@ -175,7 +175,7 @@ func runFrontier(cfg Config) (*Figure, error) {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	solve := func(m *matrix.Matrix, in frontierInstance, strong bool) (*frontierEntry, error) {
-		opt := pbb.Options{Options: bb.DefaultOptions(), Workers: workers, InitialFanout: 2}
+		opt := pbb.Options{Options: bb.DefaultOptions(), Workers: workers}
 		rules := "off"
 		if strong {
 			opt.Options = bb.StrongOptions()

@@ -95,7 +95,7 @@ func simulateCached(cfg Config, w workload, n, r, nodes int, opts bb.Options) (*
 	}
 	ccfg := cluster.ClusterConfig(nodes)
 	ccfg.BB = opts
-	ccfg.MaxExpansions = parCap(cfg)
+	ccfg.BB.MaxNodes = parCap(cfg)
 	res, err := cluster.Simulate(instanceOf(cfg, w, n, r), ccfg)
 	simCache.Store(key, &simOutcome{res, err})
 	return res, err

@@ -53,14 +53,13 @@ type Options struct {
 	// negative means 1.
 	Workers int
 	// InitialFanout is how many subproblems per worker the master creates
-	// before dispatching. The paper uses 2 ("2 times of total nodes in the
-	// computing environment").
+	// before dispatching. Zero or negative means bb.Fanout, the paper's 2.
 	InitialFanout int
 }
 
 // DefaultOptions mirrors the papers' setup with the given worker count.
 func DefaultOptions(workers int) Options {
-	return Options{Options: bb.DefaultOptions(), Workers: workers, InitialFanout: 2}
+	return Options{Options: bb.DefaultOptions(), Workers: workers, InitialFanout: bb.Fanout}
 }
 
 // Result extends the sequential result with parallel bookkeeping.
@@ -88,7 +87,7 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 		opt.Workers = 1
 	}
 	if opt.InitialFanout < 1 {
-		opt.InitialFanout = 2
+		opt.InitialFanout = bb.Fanout
 	}
 	res := &Result{WorkerStats: make([]bb.Stats, opt.Workers)}
 	start := time.Now()

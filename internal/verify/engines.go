@@ -121,7 +121,7 @@ func engineByName(name string) (Engine, error) {
 	// compose with work stealing and shared-bound broadcast.
 	if w, ok := parseWorkers(name, "pbbs"); ok {
 		return Engine{Name: name, Exact: true, Run: func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
-			opt := pbb.Options{Options: bb.StrongOptions(), Workers: w, InitialFanout: 2}
+			opt := pbb.Options{Options: bb.StrongOptions(), Workers: w}
 			opt.MaxNodes = maxNodes
 			opt.Probe = probe
 			res, err := pbb.Solve(m, opt)
