@@ -188,6 +188,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return runBootstrap(stdout, records, *algo, *reduction, *workers, *boot, bbOpt)
 	}
 
+	// The search engines fill these; the heuristics print and return.
+	var res *bb.Result
+	var sched pbb.SchedStats
+	var sets []compact.Set
 	switch strings.ToLower(*algo) {
 	case "nj":
 		t, err := nj.Build(m)
@@ -215,23 +219,17 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, t.Newick())
 		return nil
 	case "bb":
-		res, err := bb.Solve(m, bbOpt)
+		r, err := bb.Solve(m, bbOpt)
 		if err != nil {
 			return err
 		}
-		if progressOn {
-			printSearchSummary(stderr, res.Stats, pbb.SchedStats{})
-		}
-		return printResult(stdout, m, res.Tree, res.Cost, res.Optimal, res.Stats, nil, *quiet, *showStats, *showSets, *ascii)
+		res = r
 	case "pbb":
-		res, err := pbb.Solve(m, pbb.Options{Options: bbOpt, Workers: *workers})
+		r, err := pbb.Solve(m, pbb.Options{Options: bbOpt, Workers: *workers})
 		if err != nil {
 			return err
 		}
-		if progressOn {
-			printSearchSummary(stderr, res.Stats, res.Sched)
-		}
-		return printResult(stdout, m, res.Tree, res.Cost, res.Optimal, res.Stats, nil, *quiet, *showStats, *showSets, *ascii)
+		res, sched = &r.Result, r.Sched
 	case "dist", "distc":
 		red, err := compact.ParseReduction(*reduction)
 		if err != nil {
@@ -243,47 +241,45 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			Reduction: red,
 			BB:        bbOpt,
 		}
-		var res *dist.Result
+		var r *dist.Result
 		if *distAddr != "" {
-			res, err = serveCoordinator(stderr, m, opt, *distAddr)
+			r, err = serveCoordinator(stderr, m, opt, *distAddr)
 		} else {
-			res, err = dist.Solve(m, opt)
+			r, err = dist.Solve(m, opt)
 		}
 		if err != nil {
 			return err
 		}
-		if progressOn {
-			printSearchSummary(stderr, res.Stats, res.Sched)
-		}
 		if *showStats {
 			fmt.Fprintf(stdout, "# farm: units=%d done=%d dispatches=%d requeues=%d stale=%d broadcasts=%d workers=%d\n",
-				res.Farm.Units, res.Farm.Done, res.Farm.Dispatches, res.Farm.Requeues,
-				res.Farm.Stale, res.Farm.Broadcasts, len(res.Farm.Workers))
+				r.Farm.Units, r.Farm.Done, r.Farm.Dispatches, r.Farm.Requeues,
+				r.Farm.Stale, r.Farm.Broadcasts, len(r.Farm.Workers))
 		}
-		return printResult(stdout, m, res.Tree, res.Cost, res.Optimal, res.Stats, res.CompactSets, *quiet, *showStats, *showSets, *ascii)
+		res, sched, sets = &r.Result, r.Sched, r.CompactSets
 	case "compact":
 		red, err := compact.ParseReduction(*reduction)
 		if err != nil {
 			return err
 		}
 		opt := core.Options{UseCompactSets: true, Reduction: red, Workers: *workers, BB: bbOpt, Probe: probe}
-		res, err := core.Construct(m, opt)
+		r, err := core.Construct(m, opt)
 		if err != nil {
 			return err
 		}
-		if progressOn {
-			printSearchSummary(stderr, res.Stats, pbb.SchedStats{})
-		}
-		return printResult(stdout, m, res.Tree, res.Cost, true, res.Stats, res.CompactSets, *quiet, *showStats, *showSets, *ascii)
+		res, sched, sets = &r.Result, r.Sched, r.CompactSets
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
+	if progressOn {
+		printSearchSummary(stderr, res.Stats, sched)
+	}
+	return printResult(stdout, m, res, sets, *quiet, *showStats, *showSets, *ascii)
 }
 
-func printResult(w io.Writer, m *matrix.Matrix, t *tree.Tree, cost float64,
-	optimal bool, stats bb.Stats, sets []compact.Set, quiet, showStats, showSets, ascii bool) error {
+func printResult(w io.Writer, m *matrix.Matrix, res *bb.Result, sets []compact.Set,
+	quiet, showStats, showSets, ascii bool) error {
 	if !quiet {
-		fmt.Fprintf(w, "# %d species, tree cost %.4f, search complete=%v\n", m.Len(), cost, optimal)
+		fmt.Fprintf(w, "# %d species, tree cost %.4f, search complete=%v\n", m.Len(), res.Cost, res.Optimal)
 	}
 	if showSets {
 		if len(sets) == 0 {
@@ -298,6 +294,7 @@ func printResult(w io.Writer, m *matrix.Matrix, t *tree.Tree, cost float64,
 		}
 	}
 	if showStats {
+		stats := res.Stats
 		fmt.Fprintf(w, "# expanded=%d generated=%d pruned=%d solutions=%d ub-updates=%d max-pool=%d\n",
 			stats.Expanded, stats.Generated, stats.Pruned.Total(), stats.Solutions,
 			stats.UBUpdates, stats.MaxPoolLen)
@@ -307,9 +304,9 @@ func printResult(w io.Writer, m *matrix.Matrix, t *tree.Tree, cost float64,
 			stats.Pruned.Budget)
 	}
 	if ascii {
-		fmt.Fprint(w, t.Ascii())
+		fmt.Fprint(w, res.Tree.Ascii())
 	}
-	_, err := fmt.Fprintln(w, t.Newick())
+	_, err := fmt.Fprintln(w, res.Tree.Newick())
 	return err
 }
 

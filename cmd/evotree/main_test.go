@@ -73,6 +73,18 @@ func TestStatsFlag(t *testing.T) {
 	}
 }
 
+// TestMaxNodesReportsIncomplete: every search engine, the compact-set
+// pipeline included, must report a budget-truncated search as incomplete.
+func TestMaxNodesReportsIncomplete(t *testing.T) {
+	m := matrix.Random0100(rand.New(rand.NewSource(7)), 18)
+	for _, algo := range []string{"compact", "bb", "pbb"} {
+		out := runCLI(t, m.String(), "-algo", algo, "-max-nodes", "5")
+		if !strings.Contains(out, "search complete=false") {
+			t.Errorf("%s -max-nodes 5: want search complete=false:\n%s", algo, out)
+		}
+	}
+}
+
 func TestFileInput(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.dist")

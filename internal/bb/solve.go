@@ -164,7 +164,9 @@ func (s *Stats) Add(other Stats) {
 	s.Pruned.Add(other.Pruned)
 }
 
-// Result is the outcome of a solve.
+// Result is the outcome of a solve: a tree and its proof. It is the one
+// result shape of every engine; pbb, dist, cluster, core and the
+// verification harness embed it.
 //
 // Tree is nil only when no feasible tree is known at all: Options.NoInitialUB
 // suppressed the UPGMM seed and the (possibly truncated) search found no
@@ -172,14 +174,18 @@ func (s *Stats) Add(other Stats) {
 // search can find, the UPGMM tree is returned as the incumbent with Cost set
 // to ITS cost, so Tree and Cost always agree when Tree is non-nil.
 type Result struct {
-	Tree    *tree.Tree   // one minimum ultrametric tree (see nil contract above)
-	Trees   []*tree.Tree // all optima when Options.CollectAll
-	Cost    float64      // ω of Tree
-	Optimal bool         // false only when MaxNodes cut the search short
+	Tree  *tree.Tree   // one minimum ultrametric tree (see nil contract above)
+	Trees []*tree.Tree // all optima when Options.CollectAll
+	Cost  float64      // ω of Tree
+	// Optimal reports that the search ran to completion: false when
+	// Options.MaxNodes or Options.Ctx stopped it.
+	Optimal bool
 	// OpenLB is the best lower bound among the open nodes a truncated
 	// search abandoned — the proof floor: the true optimum is ≥
 	// min(OpenLB, Cost). +Inf when the search ran to completion (no open
-	// node remains, Cost is proven optimal).
+	// node remains, Cost is proven optimal). A decomposition, which
+	// searches reduced matrices rather than the input, reports 0, the
+	// trivial floor.
 	OpenLB float64
 	Stats  Stats
 }
@@ -225,9 +231,7 @@ func (p *Problem) solveLocal(opt Options, f localFrontier, worstFirst bool) *Res
 	if s.Stopped() {
 		s.Abandon(f.open()...)
 	}
-	res := &Result{Trees: best.Trees, Optimal: !s.Stopped(), OpenLB: s.OpenLB, Stats: s.Stats}
-	res.Stats.Solutions, res.Stats.UBUpdates = best.Solutions, best.UBUpdates
-	res.Tree, res.Cost = seed.Resolve(best.Tree, best.Cost)
+	res := Gather(seed, best, s)
 	if opt.Probe != nil {
 		// Flush the batched prune attribution and the terminal gap
 		// snapshot BEFORE ProblemFinish: consumers rely on ProblemFinish
@@ -237,6 +241,23 @@ func (p *Problem) solveLocal(opt Options, f localFrontier, worstFirst bool) *Res
 		opt.Probe.Emit(obs.Event{Kind: obs.ProblemFinish, Worker: obs.MasterWorker,
 			Value: res.Cost, Nodes: res.Stats.Expanded, Elapsed: time.Since(start)})
 	}
+	return &res
+}
+
+// Gather assembles the result of searches that ran from seed and recorded
+// into best: their Stats summed, the lowest OpenLB any of them left,
+// Optimal when none of them was stopped, and the tree and cost resolved
+// through seed. Every engine whose searches run in this process reports
+// through it.
+func Gather(seed Seed, best *Best, searches ...*Search) Result {
+	res := Result{Trees: best.Trees, Optimal: true, OpenLB: math.Inf(1)}
+	for _, s := range searches {
+		res.Stats.Add(s.Stats)
+		res.OpenLB = math.Min(res.OpenLB, s.OpenLB)
+		res.Optimal = res.Optimal && !s.Stopped()
+	}
+	res.Stats.Solutions, res.Stats.UBUpdates = best.Solutions, best.UBUpdates
+	res.Tree, res.Cost = seed.Resolve(best.Tree, best.Cost)
 	return res
 }
 

@@ -58,8 +58,8 @@ type Config struct {
 	Speeds []float64
 	// BB carries the search options. They apply as in bb.Solve, except
 	// that MaxNodes is one expansion budget shared by the master and every
-	// slave, and that CollectAll is rejected: Result carries no trees. A
-	// run cut short by MaxNodes or Ctx reports Result.Capped.
+	// slave, and that CollectAll is rejected. A run cut short by MaxNodes
+	// or Ctx reports Optimal=false.
 	BB bb.Options
 }
 
@@ -95,20 +95,15 @@ func GridConfig(nodes int) Config {
 	return c
 }
 
-// Result reports one simulated run.
+// Result reports one simulated run. The embedded search result is the
+// master's and every slave's search gathered: an uncapped run's Cost is
+// bb.Solve's cost under the same options.
 type Result struct {
-	// Cost is the best tree cost found: bb.Solve's cost under the same
-	// options for uncapped runs; for capped runs only the incumbent at the
-	// cut.
-	Cost     float64
+	bb.Result
 	Makespan float64 // virtual completion time (master + slowest slave)
 	// MasterTime is the virtual time the master spent building and
 	// dispatching the initial frontier; slaves start after it.
 	MasterTime float64
-	// Capped reports that BB.MaxNodes or BB.Ctx cut the search short;
-	// Cost is then the best bound found rather than the proven optimum.
-	Capped     bool
-	Stats      bb.Stats  // the master's and every slave's search, summed
 	Messages   int64     // UB broadcasts + pool transfers
 	BytesMoved float64   // weighted message volume
 	NodeBusy   []float64 // per-slave busy time (load-balance visibility)
@@ -269,8 +264,8 @@ func Simulate(m *matrix.Matrix, cfg Config) (*Result, error) {
 	}
 
 	// ---- event loop: advance the earliest-clock slave that has work ----
-	res.Capped = master.Stopped()
-	for !res.Capped {
+	stopped := master.Stopped()
+	for !stopped {
 		var w *slave
 		for _, x := range slaves {
 			if len(x.local) == 0 && (len(mc.pool) == 0 || cfg.DisableGlobalPool) {
@@ -287,21 +282,20 @@ func Simulate(m *matrix.Matrix, cfg Config) (*Result, error) {
 			w.pull()
 			continue
 		}
-		res.Capped = !w.search.Step(w)
+		stopped = !w.search.Step(w)
 	}
 
 	// Nodes still open were cut off by the budget or the context; a
 	// complete run leaves none.
 	master.Abandon(mc.pool...)
-	res.Stats = master.Stats
+	searches := []*bb.Search{master}
 	for i, w := range slaves {
 		w.search.Abandon(w.local...)
-		res.Stats.Add(w.search.Stats)
+		searches = append(searches, w.search)
 		res.NodeBusy[i] = w.busy
 		res.Makespan = math.Max(res.Makespan, w.clock) // clocks start at MasterTime
 	}
-	res.Stats.Solutions, res.Stats.UBUpdates = mc.best.Solutions, mc.best.UBUpdates
-	_, res.Cost = seed.Resolve(mc.best.Tree, mc.best.Cost)
+	res.Result = bb.Gather(seed, mc.best, searches...)
 	return res, nil
 }
 
@@ -341,7 +335,7 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("cluster: NaN cost parameter")
 	}
 	if cfg.BB.CollectAll {
-		return fmt.Errorf("cluster: CollectAll is not supported: Result carries no trees")
+		return fmt.Errorf("cluster: CollectAll is not supported")
 	}
 	return nil
 }

@@ -40,9 +40,9 @@ func TestSimulationMatchesExactCost(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Cost != seq.Cost || res.Capped {
+				if res.Cost != seq.Cost || !res.Optimal {
 					t.Fatalf("trial %d %s nodes %d: simulated cost %g (capped %v), bb.Solve %g",
-						trial, name, cfg.Nodes, res.Cost, res.Capped, seq.Cost)
+						trial, name, cfg.Nodes, res.Cost, !res.Optimal, seq.Cost)
 				}
 			}
 		}
@@ -62,9 +62,9 @@ func TestSimulationAccounting(t *testing.T) {
 			if fails := verify.CheckAccounting(res.Stats); len(fails) > 0 {
 				t.Fatalf("MaxNodes %d nodes %d: %v", maxNodes, cfg.Nodes, fails)
 			}
-			if res.Capped != (maxNodes > 0) || res.Capped != (res.Stats.Pruned.Budget > 0) {
+			if res.Optimal != (maxNodes == 0) || res.Optimal != (res.Stats.Pruned.Budget == 0) {
 				t.Fatalf("MaxNodes %d nodes %d: capped %v with %d budget prunes",
-					maxNodes, cfg.Nodes, res.Capped, res.Stats.Pruned.Budget)
+					maxNodes, cfg.Nodes, !res.Optimal, res.Stats.Pruned.Budget)
 			}
 		}
 	}
@@ -76,8 +76,8 @@ func TestSimulationAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fails := verify.CheckAccounting(res.Stats); !res.Capped || len(fails) > 0 {
-		t.Fatalf("cancelled run: capped %v, accounting %v", res.Capped, fails)
+	if fails := verify.CheckAccounting(res.Stats); res.Optimal || len(fails) > 0 {
+		t.Fatalf("cancelled run: capped %v, accounting %v", !res.Optimal, fails)
 	}
 }
 
@@ -231,8 +231,8 @@ func TestMaxExpansionsCapsSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Capped {
-		t.Fatal("hard instance within 20 expansions must report Capped")
+	if res.Optimal {
+		t.Fatal("hard instance within 20 expansions must report Optimal=false")
 	}
 	if res.Stats.Expanded != 20 {
 		t.Fatalf("expanded %d, want the whole budget of 20", res.Stats.Expanded)

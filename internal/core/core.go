@@ -72,23 +72,22 @@ type Subproblem struct {
 	Cost  float64 // ω of the subtree built for it
 }
 
-// Result is the outcome of Construct.
+// Result is the outcome of Construct. The embedded search result holds
+// the assembled tree, its cost and the aggregated search statistics.
+// Optimal reports whether every underlying search ran to completion: false
+// means a node budget or context cancelled at least one solve, so the tree
+// may be worse than the method's true output. OpenLB is the whole search's
+// proof floor without decomposition and 0, the trivial floor, with it: the
+// sub-searches bound reduced matrices, not m.
 type Result struct {
-	Tree        *tree.Tree    // the assembled ultrametric tree
-	Cost        float64       // ω(Tree)
+	bb.Result
 	CompactSets []compact.Set // detected non-trivial compact sets (nil without decomposition)
 	Subproblems []Subproblem  // one per internal hierarchy node (nil without decomposition)
-	Stats       bb.Stats      // aggregated search statistics
 	// Sched aggregates the work-stealing scheduler traffic (steals, parks,
 	// overflow donations) of every parallel sub-solve in the pipeline; zero
 	// when only sequential solves ran.
 	Sched   pbb.SchedStats
 	Elapsed time.Duration // wall-clock construction time
-	// Optimal reports whether every underlying search ran to completion.
-	// False means a node budget or context cancelled at least one solve, so
-	// the tree may be worse than the method's true output (the verification
-	// harness skips cost-equality assertions in that case).
-	Optimal bool
 }
 
 // Construct builds an ultrametric tree for m according to opt.
@@ -120,14 +119,13 @@ func constructWhole(m *matrix.Matrix, opt Options) (*Result, error) {
 	if m.Len() == 1 {
 		t := tree.New(0)
 		t.SetNames(m.Names())
-		return &Result{Tree: t, Optimal: true}, nil
+		return &Result{Result: bb.Result{Tree: t, Optimal: true, OpenLB: math.Inf(1)}}, nil
 	}
 	pres, err := pbb.Solve(m, pbb.Options{Options: opt.BB, Workers: opt.Workers})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Tree: pres.Tree, Cost: pres.Cost, Stats: pres.Stats,
-		Sched: pres.Sched, Optimal: pres.Optimal}, nil
+	return &Result{Result: pres.Result, Sched: pres.Sched}, nil
 }
 
 func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
@@ -145,7 +143,8 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 	}
 	emit(obs.Event{Kind: obs.PhaseEnd, Phase: "compact-detect",
 		N: len(sets), Elapsed: time.Since(detectStart)})
-	res := &Result{CompactSets: sets, Optimal: true}
+	res := &Result{CompactSets: sets}
+	res.Optimal = true
 	var subID atomic.Int64 // telemetry ids for concurrently solved subproblems
 
 	// Solve the internal hierarchy nodes bottom-up. Independent nodes run
@@ -191,18 +190,15 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 		emit(obs.Event{Kind: obs.SubproblemStart, Worker: id,
 			N: small.Len(), Elapsed: time.Since(pipeStart)})
 		solveStart := time.Now()
-		var groupTree *tree.Tree
-		var stats bb.Stats
+		var sub *bb.Result
 		var sched pbb.SchedStats
-		var cost float64
-		optimal := true
 		threshold := opt.ParallelThreshold
 		if threshold <= 0 {
 			threshold = 12
 		}
 		switch {
 		case small.Len() == 1:
-			groupTree = tree.New(0)
+			sub = &bb.Result{Tree: tree.New(0), Optimal: true}
 		case small.Len() >= threshold && opt.Workers > 1:
 			// Big subproblem: the parallel engine, as in the paper. It runs
 			// with as many workers as the semaphore can spare right now
@@ -215,9 +211,7 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 				recordErr(&mu, &firstErr, err)
 				return nil
 			}
-			groupTree, cost, stats = pres.Tree, pres.Cost, pres.Stats
-			sched = pres.Sched
-			optimal = pres.Optimal
+			sub, sched = &pres.Result, pres.Sched
 		default:
 			grant := sem.acquireUpTo(1)
 			sres, err := bb.Solve(small, opt.BB)
@@ -226,15 +220,14 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 				recordErr(&mu, &firstErr, err)
 				return nil
 			}
-			groupTree, cost, stats = sres.Tree, sres.Cost, sres.Stats
-			optimal = sres.Optimal
+			sub = sres
 		}
 		emit(obs.Event{Kind: obs.SubproblemFinish, Worker: id,
-			N: small.Len(), Value: cost, Elapsed: time.Since(solveStart)})
+			N: small.Len(), Value: sub.Cost, Elapsed: time.Since(solveStart)})
 		// Translate group-leaf species back to child row indices: bb
 		// preserved row indices as species ids, so nothing to relabel.
 		mergeStart := time.Now()
-		assembled, err := compact.Graft(groupTree, h, subs)
+		assembled, err := compact.Graft(sub.Tree, h, subs)
 		if err != nil {
 			recordErr(&mu, &firstErr, err)
 			return nil
@@ -245,13 +238,11 @@ func constructDecomposed(m *matrix.Matrix, opt Options) (*Result, error) {
 		res.Subproblems = append(res.Subproblems, Subproblem{
 			Group: append([]int(nil), h.Members...),
 			Size:  small.Len(),
-			Cost:  cost,
+			Cost:  sub.Cost,
 		})
-		res.Stats.Add(stats)
+		res.Stats.Add(sub.Stats)
 		res.Sched.Add(sched)
-		if !optimal {
-			res.Optimal = false
-		}
+		res.Optimal = res.Optimal && sub.Optimal
 		mu.Unlock()
 		return assembled
 	}

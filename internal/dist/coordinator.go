@@ -92,15 +92,12 @@ type FarmStats struct {
 	Workers    []WorkerFarmStats
 }
 
-// Result is the outcome of a distributed solve.
+// Result is the outcome of a distributed solve. Optimal is false when the
+// budget or the context truncated the farm.
 type Result struct {
-	Tree    *tree.Tree
-	Cost    float64
-	Optimal bool    // false when the budget or context truncated the farm
-	OpenLB  float64 // proof floor of a truncated search; +Inf when complete
-	Stats   bb.Stats
-	Sched   pbb.SchedStats // dispatch/requeue view of the farm scheduling
-	Farm    FarmStats
+	bb.Result
+	Sched pbb.SchedStats // dispatch/requeue view of the farm scheduling
+	Farm  FarmStats
 	// CompactSets are the detected sets in Decompose mode, nil otherwise.
 	CompactSets []compact.Set
 }
@@ -700,19 +697,21 @@ func (c *Coordinator) assemble(cancelled bool) (*Result, error) {
 	}
 
 	res := &Result{
-		Optimal:     !c.truncated,
-		OpenLB:      c.openLB,
-		CompactSets: c.sets,
+		Sched:       pbb.SchedStats{Dispatches: c.dispatches, Requeues: c.requeues},
 		Farm:        c.farmStatsLocked(),
+		CompactSets: c.sets,
 	}
+	// The searches are remote, so the farm fills its bb.Result itself.
+	res.Optimal, res.OpenLB = !c.truncated, c.openLB
 	res.Stats = c.masterStats
 	res.Stats.Add(c.foldedStats)
-	res.Stats.Solutions = c.solutions
-	res.Stats.UBUpdates = c.ubUpdates
-	res.Sched = pbb.SchedStats{Dispatches: c.dispatches, Requeues: c.requeues}
+	res.Stats.Solutions, res.Stats.UBUpdates = c.solutions, c.ubUpdates
 
 	var err error
 	if c.opt.Decompose {
+		// The sub-searches bound reduced matrices, not m, so their open
+		// bounds are no floor for m: only the trivial 0 is.
+		res.OpenLB = 0
 		if c.hier.IsLeaf() {
 			res.Tree = tree.New(c.hier.Species())
 		} else {

@@ -137,17 +137,30 @@ func TestSolveCancellation(t *testing.T) {
 	}
 }
 
-// TestSolveBudget exhausts a tiny shared MaxNodes budget.
+// TestSolveBudget gives the farm a budget it provably cannot finish in.
+// The root places 2 species, so a complete topology lies n−2 expansions
+// below it, and a farm-wide budget of n−3 never reaches one: the
+// incumbent stays at the UPGMM seed. The optimum is strictly below that
+// seed, so no ancestor of it is ever pruned and the search cannot close.
 func TestSolveBudget(t *testing.T) {
-	m := matrix.Random0100(rand.New(rand.NewSource(10)), 10)
+	const n = 10
+	m := matrix.Random0100(rand.New(rand.NewSource(5)), n)
+	p, err := bb.NewProblem(m, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := p.SolveSequential(bb.DefaultOptions())
+	if _, seedCost := p.InitialUpperBound(); !(seq.Cost < seedCost) {
+		t.Fatalf("optimum %g is not below the UPGMM seed %g", seq.Cost, seedCost)
+	}
 	opt := Options{Workers: 2, BB: bb.DefaultOptions()}
-	opt.BB.MaxNodes = 16
+	opt.BB.MaxNodes = n - 3
 	res, err := Solve(m, opt)
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
 	if res.Optimal {
-		t.Fatalf("expected truncated result under MaxNodes=16")
+		t.Fatalf("expected truncated result under MaxNodes=%d", opt.BB.MaxNodes)
 	}
 	identity(t, res.Stats)
 }

@@ -112,7 +112,7 @@ func runnerParTime(id, title string, nodes int, w workload) Runner {
 				if err != nil {
 					return nil, err
 				}
-				if res.Capped {
+				if !res.Optimal {
 					capped++
 				}
 				ts = append(ts, res.Makespan)

@@ -183,14 +183,9 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 	}
 
 	// Step 8: gather.
-	res.Optimal = !master.Stopped()
-	res.OpenLB = master.OpenLB
-	res.Stats = master.Stats
+	res.Result = bb.Gather(seed, inc.best, append(workers, master)...)
 	for w, ws := range workers {
-		res.Optimal = res.Optimal && !ws.Stopped()
-		res.OpenLB = math.Min(res.OpenLB, ws.OpenLB)
 		res.WorkerStats[w] = ws.Stats
-		res.Stats.Add(ws.Stats)
 	}
 	res.PoolGets, res.PoolPuts = sched.ring.gets.Load(), sched.ring.puts.Load()
 	res.Sched = SchedStats{
@@ -199,10 +194,6 @@ func SolveProblem(p *bb.Problem, opt Options) *Result {
 		Donates:    sched.donates.Load(),
 		Dispatches: int64(res.MasterNodes),
 	}
-	best := inc.best
-	res.Trees = best.Trees
-	res.Stats.Solutions, res.Stats.UBUpdates = best.Solutions, best.UBUpdates
-	res.Tree, res.Cost = seed.Resolve(best.Tree, best.Cost)
 	if probe != nil {
 		// Flush the master's prune attribution (workers flushed their own
 		// in runWorker) and the terminal gap snapshot before

@@ -140,8 +140,27 @@ func Differential(m *matrix.Matrix, engines []Engine, cfg DiffConfig) *InstanceR
 				rep.Failures = append(rep.Failures, f)
 			}
 		}
+		// The proof: a search is complete exactly when it abandoned no
+		// open node, and only a complete exact search proves its cost.
+		if res.Optimal != (res.Stats.Pruned.Budget == 0) {
+			fail(e.Name, "stop-accounting", "Optimal=%v with %d budget prunes",
+				res.Optimal, res.Stats.Pruned.Budget)
+		}
+		if e.Exact && res.Optimal != math.IsInf(res.OpenLB, 1) {
+			fail(e.Name, "proof-complete", "Optimal=%v with OpenLB %g", res.Optimal, res.OpenLB)
+		}
 		if !hasRef {
 			continue
+		}
+		// The proof floor never rises above the optimum: min(OpenLB, Cost)
+		// for an exact search, OpenLB alone for a decomposition.
+		if floor := math.Min(res.OpenLB, res.Cost); e.Exact && floor > rep.Reference+tol {
+			fail(e.Name, "proof-floor", "proof floor %g exceeds the %s optimum %g",
+				floor, rep.RefSource, rep.Reference)
+		}
+		if e.Decomposition && res.OpenLB > rep.Reference+tol {
+			fail(e.Name, "proof-floor", "OpenLB %g exceeds the %s optimum %g",
+				res.OpenLB, rep.RefSource, rep.Reference)
 		}
 		switch {
 		case e.Exact && res.Optimal:

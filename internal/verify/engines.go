@@ -60,7 +60,7 @@ func engineByName(name string) (Engine, error) {
 			if err != nil {
 				return EngineResult{Name: name}, err
 			}
-			return EngineResult{Name: name, Cost: res.Cost, Tree: res.Tree, Optimal: res.Optimal, Stats: res.Stats}, nil
+			return EngineResult{Name: name, Result: *res}, nil
 		}}, nil
 	case "bestfirst":
 		return Engine{Name: name, Exact: true, Run: func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
@@ -71,35 +71,14 @@ func engineByName(name string) (Engine, error) {
 			opt := bbOpt(maxNodes, false)
 			opt.Probe = probe
 			res := p.SolveBestFirst(opt)
-			return EngineResult{Name: name, Cost: res.Cost, Tree: res.Tree, Optimal: res.Optimal, Stats: res.Stats}, nil
+			return EngineResult{Name: name, Result: *res}, nil
 		}}, nil
 	case "whole":
 		// The core pipeline with decomposition disabled — the paper's
 		// control condition; exact like the parallel engine it wraps.
-		return Engine{Name: name, Exact: true, Run: func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
-			opt := core.Options{Workers: 4, BB: bbOpt(maxNodes, false), Probe: probe}
-			res, err := core.Construct(m, opt)
-			if err != nil {
-				return EngineResult{Name: name}, err
-			}
-			return EngineResult{Name: name, Cost: res.Cost, Tree: res.Tree, Optimal: res.Optimal, Stats: res.Stats}, nil
-		}}, nil
+		return Engine{Name: name, Exact: true, Run: coreRun(name, false, bbOpt(0, false))}, nil
 	case "compact", "compact33":
-		tt := name == "compact33"
-		return Engine{Name: name, Decomposition: true, Run: func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
-			opt := core.Options{
-				UseCompactSets: true,
-				Reduction:      compact.Maximum,
-				Workers:        4,
-				BB:             bbOpt(maxNodes, tt),
-				Probe:          probe,
-			}
-			res, err := core.Construct(m, opt)
-			if err != nil {
-				return EngineResult{Name: name}, err
-			}
-			return EngineResult{Name: name, Cost: res.Cost, Tree: res.Tree, Optimal: res.Optimal, Stats: res.Stats}, nil
-		}}, nil
+		return Engine{Name: name, Decomposition: true, Run: coreRun(name, true, bbOpt(0, name == "compact33"))}, nil
 	}
 	// dist<N> runs the distributed farm with N worker goroutines over a
 	// real loopback HTTP transport: an exact engine, so the differential
@@ -120,33 +99,44 @@ func engineByName(name string) (Engine, error) {
 	// bound + dominance), so the differential harness proves the rules
 	// compose with work stealing and shared-bound broadcast.
 	if w, ok := parseWorkers(name, "pbbs"); ok {
-		return Engine{Name: name, Exact: true, Run: func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
-			opt := pbb.Options{Options: bb.StrongOptions(), Workers: w}
-			opt.MaxNodes = maxNodes
-			opt.Probe = probe
-			res, err := pbb.Solve(m, opt)
-			if err != nil {
-				return EngineResult{Name: name}, err
-			}
-			return EngineResult{Name: name, Cost: res.Cost, Tree: res.Tree, Optimal: res.Optimal, Stats: res.Stats}, nil
-		}}, nil
+		return Engine{Name: name, Exact: true, Run: parallelRun(name, w, bb.StrongOptions())}, nil
 	}
 	// pbb<N> runs the parallel engine with N workers, for any N ≥ 1 — the
 	// differential harness sweeps the work-stealing scheduler at arbitrary
 	// concurrency levels (evocheck -workers).
 	if w, ok := parseWorkers(name, "pbb"); ok {
-		return Engine{Name: name, Exact: true, Run: func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
-			opt := pbb.DefaultOptions(w)
-			opt.MaxNodes = maxNodes
-			opt.Probe = probe
-			res, err := pbb.Solve(m, opt)
-			if err != nil {
-				return EngineResult{Name: name}, err
-			}
-			return EngineResult{Name: name, Cost: res.Cost, Tree: res.Tree, Optimal: res.Optimal, Stats: res.Stats}, nil
-		}}, nil
+		return Engine{Name: name, Exact: true, Run: parallelRun(name, w, bb.DefaultOptions())}, nil
 	}
 	return Engine{}, fmt.Errorf("verify: unknown engine %q (want one of %s)", name, strings.Join(EngineNames(), ","))
+}
+
+// coreRun wraps the core pipeline on 4 workers, with or without the
+// compact-set decomposition, under the search options bbOpt as an engine
+// Run func.
+func coreRun(name string, decompose bool, bbOpt bb.Options) func(*matrix.Matrix, int64, obs.Probe) (EngineResult, error) {
+	return func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
+		opt := core.Options{UseCompactSets: decompose, Reduction: compact.Maximum, Workers: 4, BB: bbOpt, Probe: probe}
+		opt.BB.MaxNodes = maxNodes
+		res, err := core.Construct(m, opt)
+		if err != nil {
+			return EngineResult{Name: name}, err
+		}
+		return EngineResult{Name: name, Result: res.Result}, nil
+	}
+}
+
+// parallelRun wraps the parallel engine on workers goroutines under the
+// search options bbOpt as an engine Run func.
+func parallelRun(name string, workers int, bbOpt bb.Options) func(*matrix.Matrix, int64, obs.Probe) (EngineResult, error) {
+	return func(m *matrix.Matrix, maxNodes int64, probe obs.Probe) (EngineResult, error) {
+		opt := pbb.Options{Options: bbOpt, Workers: workers}
+		opt.MaxNodes, opt.Probe = maxNodes, probe
+		res, err := pbb.Solve(m, opt)
+		if err != nil {
+			return EngineResult{Name: name}, err
+		}
+		return EngineResult{Name: name, Result: res.Result}, nil
+	}
 }
 
 // distRun wraps the distributed farm under the search options bbOpt as an
@@ -161,7 +151,7 @@ func distRun(name string, workers int, decompose bool, bbOpt bb.Options) func(*m
 		if err != nil {
 			return EngineResult{Name: name}, err
 		}
-		return EngineResult{Name: name, Cost: res.Cost, Tree: res.Tree, Optimal: res.Optimal, Stats: res.Stats}, nil
+		return EngineResult{Name: name, Result: res.Result}, nil
 	}
 }
 

@@ -46,7 +46,6 @@ import (
 	"evotree/internal/bb"
 	"evotree/internal/matrix"
 	"evotree/internal/obs"
-	"evotree/internal/tree"
 )
 
 // DefaultTol is the absolute floating-point slack allowed between costs
@@ -88,17 +87,14 @@ func (f Failure) String() string {
 	return fmt.Sprintf("[%s/%s] %s", f.Engine, f.Property, f.Detail)
 }
 
-// EngineResult is one engine's output on one instance.
+// EngineResult is one engine's output on one instance. The embedded
+// search result carries the aggregated search counters too, so the
+// harness asserts the node-accounting identity (see CheckAccounting) and
+// the proof floor on top of the tree properties.
 type EngineResult struct {
-	Name    string
-	Cost    float64
-	Tree    *tree.Tree
-	Optimal bool // false when a node/time budget truncated the search
-	// Stats carries the engine's aggregated search counters, so the
-	// harness can assert the node-accounting identity (see
-	// CheckAccounting) on top of the tree properties.
-	Stats bb.Stats
-	Err   error
+	Name string
+	bb.Result
+	Err error
 }
 
 // CheckAccounting verifies the search engines' node-accounting identity

@@ -418,6 +418,7 @@ func (s *Server) solveMatrix(ctx context.Context, m *matrix.Matrix, spec solveSp
 
 	e := &solveEntry{algorithm: spec.algorithm, species: m.Len(), complete: true}
 	start := time.Now()
+	var res *bb.Result
 	switch spec.algorithm {
 	case "compact":
 		opt := core.Options{
@@ -426,28 +427,19 @@ func (s *Server) solveMatrix(ctx context.Context, m *matrix.Matrix, spec solveSp
 			Workers:        s.Workers,
 			BB:             bbOpt,
 		}
-		res, err := core.Construct(m, opt)
+		cres, err := core.Construct(m, opt)
 		if err != nil {
 			return nil, err
 		}
-		e.cost = res.Cost
-		e.tree = res.Tree
-		e.feasible = res.Tree.Feasible(m, 1e-9)
-		e.complete = res.Optimal
-		e.expanded = res.Stats.Expanded
-		for _, set := range res.CompactSets {
+		res = &cres.Result
+		for _, set := range cres.CompactSets {
 			e.compactSets = append(e.compactSets, append([]int(nil), set...))
 		}
 	case "bb":
-		res, err := bb.Solve(m, bbOpt)
-		if err != nil {
+		var err error
+		if res, err = bb.Solve(m, bbOpt); err != nil {
 			return nil, err
 		}
-		e.cost = res.Cost
-		e.tree = res.Tree
-		e.feasible = res.Tree.Feasible(m, 1e-9)
-		e.complete = res.Optimal
-		e.expanded = res.Stats.Expanded
 	case "upgma", "upgmm":
 		link := upgma.Average
 		if spec.algorithm == "upgmm" {
@@ -460,6 +452,10 @@ func (s *Server) solveMatrix(ctx context.Context, m *matrix.Matrix, spec solveSp
 		e.feasible = t.Feasible(m, 1e-9)
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q (want compact|bb|upgma|upgmm)", spec.algorithm)
+	}
+	if res != nil {
+		e.cost, e.tree, e.complete, e.expanded = res.Cost, res.Tree, res.Optimal, res.Stats.Expanded
+		e.feasible = res.Tree.Feasible(m, 1e-9)
 	}
 	elapsed := time.Since(start)
 	e.solveMS = float64(elapsed.Microseconds()) / 1000
